@@ -35,10 +35,11 @@
 //! *allocation* changed (not just content-dirty ones), which is exactly
 //! what keeps the store equal to the oracle after weights shift.
 
-use apgre_bc::apgre::{run_sampled_subgraph_kernels_stats, ApgreOptions};
+use apgre_bc::apgre::{run_kernels, ApgreOptions};
 use apgre_decomp::Decomposition;
 
 use crate::rng::{mix_seed, sample_roots};
+use crate::sample::stats_of;
 
 /// Default pilot sweep size (per-sub-graph roots used to estimate `σ_i`).
 pub const DEFAULT_PILOT: usize = 4;
@@ -207,12 +208,13 @@ pub fn plan_adaptive(
         .collect();
     let jobs: Vec<(usize, &[u32])> =
         pilot_draws.iter().map(|(i, roots)| (*i, roots.as_slice())).collect();
-    let runs = run_sampled_subgraph_kernels_stats(decomp, &jobs, opts);
+    let runs = run_kernels(decomp, &jobs, opts, true);
     let mut pilot_roots = 0u64;
     let mut pilot_edges = 0u64;
     for run in &runs {
-        sigma[run.index] = pilot_sigma(&run.vertex_m2, run.roots);
-        pilot_roots += run.roots as u64;
+        let st = stats_of(run);
+        sigma[run.index] = pilot_sigma(&st.vertex_m2, st.roots);
+        pilot_roots += st.roots as u64;
         pilot_edges += run.edges;
     }
     let caps: Vec<usize> = decomp.subgraphs.iter().map(|sg| sg.roots.len()).collect();

@@ -33,9 +33,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use apgre_bc::apgre::{
-    run_sampled_subgraph_kernels, run_sampled_subgraph_kernels_stats, ApgreOptions,
-};
+use apgre_bc::apgre::{run_kernels, ApgreOptions, RootStats, SubgraphKernelRun};
 use apgre_decomp::{decompose, Decomposition, SubGraph};
 use apgre_graph::Graph;
 use apgre_store::FoldStore;
@@ -162,6 +160,11 @@ pub fn draw_roots(sg: &SubGraph, seed: u64, cap: usize) -> (Vec<u32>, f64) {
     (sample, total as f64 / k as f64)
 }
 
+/// The per-root statistics of a run dispatched with `stats` set.
+pub(crate) fn stats_of(run: &SubgraphKernelRun) -> &RootStats {
+    run.stats.as_ref().expect("run_kernels(.., true) fills stats on every run") // lint:allow(panic_path)
+}
+
 /// From-scratch composed estimator over an existing decomposition: plans
 /// the per-sub-graph sample sizes (fixed cap or adaptive allocation), runs
 /// the sampled kernels, scales, and folds ascending from zeros. This is the
@@ -196,7 +199,7 @@ pub fn bc_sampled_with_stderr_from_decomposition(
                 .collect();
             let jobs: Vec<(usize, &[u32])> =
                 draws.iter().enumerate().map(|(i, d)| (i, d.0.as_slice())).collect();
-            let runs = run_sampled_subgraph_kernels(decomp, &jobs, opts);
+            let runs = run_kernels(decomp, &jobs, opts, false);
             for run in &runs {
                 let sg = &decomp.subgraphs[run.index];
                 let scale = draws[run.index].1;
@@ -216,11 +219,12 @@ pub fn bc_sampled_with_stderr_from_decomposition(
                 .collect();
             let jobs: Vec<(usize, &[u32])> =
                 draws.iter().enumerate().map(|(i, d)| (i, d.0.as_slice())).collect();
-            let runs = run_sampled_subgraph_kernels_stats(decomp, &jobs, opts);
+            let runs = run_kernels(decomp, &jobs, opts, true);
             for run in &runs {
                 let sg = &decomp.subgraphs[run.index];
                 let scale = draws[run.index].1;
-                let se = stderr_sq_span(&run.vertex_m2, run.roots, sg.roots.len());
+                let st = stats_of(run);
+                let se = stderr_sq_span(&st.vertex_m2, st.roots, sg.roots.len());
                 for (local, &v) in sg.globals.iter().enumerate() {
                     out[v as usize] += run.local[local] * scale;
                     err_sq[v as usize] += se[local];
@@ -454,7 +458,7 @@ impl SampleStore {
         }
         let jobs: Vec<(usize, &[u32])> =
             dirty.iter().map(|&i| (i, draws[&i].1.as_slice())).collect();
-        let runs = run_sampled_subgraph_kernels(decomp, &jobs, opts);
+        let runs = run_kernels(decomp, &jobs, opts, false);
         assert_eq!(runs.len(), dirty.len(), "one kernel run per dirty sub-graph");
         let mut report = SampleRefresh {
             resampled: dirty.len(),
@@ -521,7 +525,7 @@ impl SampleStore {
         }
         let jobs: Vec<(usize, &[u32])> =
             resample.iter().map(|&i| (i, draws[&i].1.as_slice())).collect();
-        let runs = run_sampled_subgraph_kernels_stats(decomp, &jobs, opts);
+        let runs = run_kernels(decomp, &jobs, opts, true);
         assert_eq!(runs.len(), resample.len(), "one kernel run per resampled sub-graph");
         let mut report = SampleRefresh {
             resampled: resample.len(),
@@ -538,7 +542,8 @@ impl SampleStore {
                 .expect("kernel returned a run for a sub-graph that was never dispatched");
             let sg = &decomp.subgraphs[run.index];
             let span: Vec<f64> = run.local.iter().map(|&x| x * scale).collect();
-            let se = stderr_sq_span(&run.vertex_m2, run.roots, sg.roots.len());
+            let st = stats_of(&run);
+            let se = stderr_sq_span(&st.vertex_m2, st.roots, sg.roots.len());
             self.fold.set_values(run.index, Arc::from(span));
             self.err.set_values(run.index, Arc::from(se));
             self.meta[run.index] = Some(SampleMeta {

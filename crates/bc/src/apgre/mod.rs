@@ -19,21 +19,22 @@
 //! soaks up workers once the small sub-graphs drain — the behaviour §5.4
 //! describes.
 //!
-//! The driver threads a [buffer pool](BufferPool) through the sub-graph
-//! loop: per-sub-graph score vectors and both kernel workspaces are checked
-//! out, grown in place if needed, and returned, so steady-state processing
-//! of the long tail of small sub-graphs performs no `O(n)` allocations.
-//! Merging goes through a reorder buffer that scatters finished sub-graphs
-//! in **ascending index order** regardless of completion order — the
-//! floating-point fold order is fixed, keeping whole-run results bitwise
-//! deterministic (and the golden checksums stable).
+//! One dispatcher, [`run_kernels`], runs every sub-graph job — exact,
+//! sampled, or observed for the estimator's statistics — through the one
+//! kernel entry point [`kernel::bc_in_subgraph`]. It threads a
+//! buffer pool (`BufferPool`) of kernel workspaces through the sub-graph
+//! loop: workspaces are checked out, grown in place if needed, and
+//! returned, so the long tail of small sub-graphs reuses the scratch arrays
+//! of the large ones. Runs come back in **ascending index order** regardless
+//! of completion order, and [`bc_from_decomposition`] folds them in that
+//! order — the floating-point fold order is fixed, keeping whole-run results
+//! bitwise deterministic (and the golden checksums stable).
 
 pub mod kernel;
 
-use apgre_decomp::{decompose, Decomposition, PartitionOptions, SubGraph};
-use apgre_graph::Graph;
+use apgre_decomp::{decompose, Decomposition, PartitionOptions};
+use apgre_graph::{Graph, VertexId};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -52,13 +53,11 @@ pub const DEFAULT_GRAIN: usize = 256;
 /// [`Auto`]: KernelPolicy::Auto
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPolicy {
-    /// Always the sequential kernel ([`kernel::bc_in_subgraph_seq_with`]).
+    /// Always the sequential kernel ([`KernelChoice::Seq`]).
     Seq,
-    /// Always the root-parallel kernel
-    /// ([`kernel::bc_in_subgraph_root_par`]).
+    /// Always the root-parallel kernel ([`KernelChoice::RootParallel`]).
     RootParallel,
-    /// Always the level-synchronous kernel
-    /// ([`kernel::bc_in_subgraph_level_sync_with`]).
+    /// Always the level-synchronous kernel ([`KernelChoice::LevelSync`]).
     LevelSync,
     /// Choose per sub-graph — see [`KernelPolicy::choose`].
     Auto,
@@ -242,193 +241,88 @@ impl ApgreReport {
     pub fn total_time(&self) -> Duration {
         self.decomposition_time() + self.bc_time
     }
+
+    /// A report describing `decomp` under `opts` before any kernel ran:
+    /// timings come from the decomposition, structure fields from
+    /// [`ApgreReport::refresh_structure`], every kernel counter is zero
+    /// (filled by [`ApgreReport::absorb_runs`]). `grain` is the effective
+    /// grain the kernels use (`opts.grain`, at least 1).
+    pub fn from_structure(decomp: &Decomposition, opts: &ApgreOptions) -> Self {
+        let mut report = ApgreReport {
+            partition_time: decomp.timings.partition,
+            alpha_beta_time: decomp.timings.alpha_beta,
+            bc_time: Duration::ZERO,
+            top_subgraph_bc_time: Duration::ZERO,
+            num_subgraphs: 0,
+            num_articulation_points: 0,
+            top_subgraph_vertices: 0,
+            top_subgraph_edges: 0,
+            total_roots: 0,
+            total_whiskers: 0,
+            edges_traversed: 0,
+            kernel_policy: opts.kernel,
+            grain: opts.grain.max(1),
+            top_subgraph_kernel: None,
+            kernel_counts: (0, 0, 0),
+        };
+        report.refresh_structure(decomp);
+        report
+    }
+
+    /// Overwrites the structure fields (counts that describe the *current*
+    /// decomposition, not accumulated work) from `decomp`.
+    pub fn refresh_structure(&mut self, decomp: &Decomposition) {
+        let top = decomp.subgraphs.get(decomp.top_subgraph);
+        self.num_subgraphs = decomp.num_subgraphs();
+        self.num_articulation_points = decomp.is_articulation.iter().filter(|&&a| a).count();
+        self.top_subgraph_vertices = top.map_or(0, |sg| sg.num_vertices());
+        self.top_subgraph_edges = top.map_or(0, |sg| sg.num_edges());
+        self.total_roots = decomp.subgraphs.iter().map(|sg| sg.roots.len()).sum();
+        self.total_whiskers =
+            decomp.subgraphs.iter().map(|sg| sg.is_whisker.iter().filter(|&&w| w).count()).sum();
+    }
+
+    /// Accumulates kernel-run work (time, traversed edges, per-kernel
+    /// counts); the run of sub-graph `top_index` also fills the
+    /// top-sub-graph fields.
+    pub fn absorb_runs(&mut self, top_index: usize, runs: &[SubgraphKernelRun]) {
+        for run in runs {
+            self.bc_time += run.time;
+            self.edges_traversed += run.edges;
+            match run.choice {
+                KernelChoice::Seq => self.kernel_counts.0 += 1,
+                KernelChoice::RootParallel => self.kernel_counts.1 += 1,
+                KernelChoice::LevelSync => self.kernel_counts.2 += 1,
+            }
+            if run.index == top_index {
+                self.top_subgraph_kernel = Some(run.choice);
+                self.top_subgraph_bc_time += run.time;
+            }
+        }
+    }
 }
 
-/// Runs the sequential sub-graph kernel for the memoization layer
-/// (`crate::memo`); returns nothing extra — the memo cache stores only the
-/// local score vector.
-pub(crate) fn kernel_for_memo(sg: &SubGraph, bc_local: &mut [f64]) {
-    kernel::bc_in_subgraph_seq(sg, bc_local);
-}
-
-/// Reusable per-sub-graph buffers, shared by all workers of the outer
-/// parallel loop. Workers check a buffer out under a short lock, run a whole
-/// kernel on it lock-free, and return it; `ensure`/`resize` grows a recycled
-/// buffer in place when a larger sub-graph draws it. Score vectors come back
-/// through [`Merger::submit`] once their sub-graph has been scattered.
+/// A pool of kernel [`kernel::Workspace`]s shared by all workers of the
+/// outer parallel loop. Workers check one out under a short lock, run a
+/// whole kernel on it lock-free, and return it; the kernel grows a recycled
+/// workspace in place when a larger sub-graph draws it.
 #[derive(Default)]
-struct BufferPool {
-    seq: Mutex<Vec<kernel::SgWorkspace>>,
-    par: Mutex<Vec<kernel::SgParWs>>,
-    locals: Mutex<Vec<Vec<f64>>>,
-}
+struct BufferPool(Mutex<Vec<kernel::Workspace>>);
 
 impl BufferPool {
-    // Pool locks recover from poisoning: the pooled buffers are overwritten
-    // before reuse, so a worker that panicked mid-kernel cannot corrupt a
+    // Pool locks recover from poisoning: a pooled workspace is reset-clean
+    // between roots, so a worker that panicked mid-kernel cannot corrupt a
     // later checkout — and a second panic here would abort the process.
-    fn take_local(&self, n: usize) -> Vec<f64> {
-        let mut v = self.locals.lock().unwrap_or_else(|p| p.into_inner()).pop().unwrap_or_default();
-        v.clear();
-        v.resize(n, 0.0);
-        v
-    }
-
-    fn put_local(&self, v: Vec<f64>) {
-        self.locals.lock().unwrap_or_else(|p| p.into_inner()).push(v);
-    }
-
-    fn take_seq(&self, n: usize) -> kernel::SgWorkspace {
-        let mut ws = self
-            .seq
+    fn take(&self) -> kernel::Workspace {
+        self.0
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .pop()
-            .unwrap_or_else(|| kernel::SgWorkspace::new(n));
-        ws.ensure(n);
-        ws
+            .unwrap_or_else(|| kernel::Workspace::new(0))
     }
 
-    fn put_seq(&self, ws: kernel::SgWorkspace) {
-        self.seq.lock().unwrap_or_else(|p| p.into_inner()).push(ws);
-    }
-
-    fn take_par(&self, n: usize) -> kernel::SgParWs {
-        let mut ws = self
-            .par
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .pop()
-            .unwrap_or_else(|| kernel::SgParWs::new(n));
-        ws.ensure(n);
-        ws
-    }
-
-    fn put_par(&self, ws: kernel::SgParWs) {
-        self.par.lock().unwrap_or_else(|p| p.into_inner()).push(ws);
-    }
-}
-
-/// One finished sub-graph, waiting in the reorder buffer.
-struct SubResult {
-    local: Vec<f64>,
-    edges: u64,
-    time: Duration,
-    choice: KernelChoice,
-}
-
-/// Reorder-buffer merger: sub-graphs finish in completion order (largest
-/// first under the outer parallel loop), but Equation 8's scatter into the
-/// global score vector must happen in **ascending sub-graph index order** so
-/// the floating-point sums fold identically run to run. Results arriving
-/// early park in `pending`.
-///
-/// The `O(n)` scatter itself runs **outside** the state lock: a submitter
-/// that finds the ready prefix pops the whole batch under the lock, releases
-/// it, scatters, then re-acquires only to advance `next_index` and fold the
-/// batch statistics — so workers finishing small sub-graphs park their
-/// result and move on instead of serializing behind the top sub-graph's
-/// merge. Popping `next_index` is the exclusivity token: the index only
-/// advances after its batch has landed, so at most one worker scatters at a
-/// time and the index order is preserved.
-struct Merger<'a> {
-    decomp: &'a Decomposition,
-    /// Global score vector. The `next_index` token protocol already makes
-    /// the scatter exclusive; the mutex (uncontended by construction) keeps
-    /// that exclusivity checkable without `unsafe`.
-    bc: Mutex<Vec<f64>>,
-    state: Mutex<MergeState>,
-}
-
-struct MergeState {
-    next_index: usize,
-    pending: BTreeMap<usize, SubResult>,
-    edges_traversed: u64,
-    top_time: Duration,
-    top_choice: Option<KernelChoice>,
-    counts: (usize, usize, usize),
-}
-
-impl<'a> Merger<'a> {
-    fn new(decomp: &'a Decomposition, n: usize) -> Self {
-        Merger {
-            decomp,
-            bc: Mutex::new(vec![0.0f64; n]),
-            state: Mutex::new(MergeState {
-                next_index: 0,
-                pending: BTreeMap::new(),
-                edges_traversed: 0,
-                top_time: Duration::ZERO,
-                top_choice: None,
-                counts: (0, 0, 0),
-            }),
-        }
-    }
-
-    fn submit(&self, index: usize, result: SubResult, pool: &BufferPool) {
-        let mut st = self.state.lock().unwrap();
-        st.pending.insert(index, result);
-        loop {
-            // Pop the ready prefix. Empty means either `next_index` hasn't
-            // arrived yet or another worker popped it and is mid-scatter;
-            // either way that worker re-checks `pending` after advancing,
-            // so this one can leave.
-            let start = st.next_index;
-            let mut batch: Vec<SubResult> = Vec::new();
-            while let Some(res) = st.pending.remove(&(start + batch.len())) {
-                batch.push(res);
-            }
-            if batch.is_empty() {
-                return;
-            }
-            drop(st);
-
-            let mut edges = 0u64;
-            let mut counts = (0usize, 0usize, 0usize);
-            let mut top: Option<(Duration, KernelChoice)> = None;
-            {
-                let mut bc = self.bc.lock().unwrap();
-                for (offset, res) in batch.iter().enumerate() {
-                    let i = start + offset;
-                    let sg = &self.decomp.subgraphs[i];
-                    for (l, &score) in res.local.iter().enumerate() {
-                        bc[sg.globals[l] as usize] += score;
-                    }
-                    edges += res.edges;
-                    match res.choice {
-                        KernelChoice::Seq => counts.0 += 1,
-                        KernelChoice::RootParallel => counts.1 += 1,
-                        KernelChoice::LevelSync => counts.2 += 1,
-                    }
-                    if i == self.decomp.top_subgraph {
-                        top = Some((res.time, res.choice));
-                    }
-                }
-            }
-            let drained = batch.len();
-            for res in batch {
-                pool.put_local(res.local);
-            }
-
-            st = self.state.lock().unwrap();
-            st.next_index = start + drained;
-            st.edges_traversed += edges;
-            st.counts.0 += counts.0;
-            st.counts.1 += counts.1;
-            st.counts.2 += counts.2;
-            if let Some((time, choice)) = top {
-                st.top_time = time;
-                st.top_choice = Some(choice);
-            }
-            // More results may have parked while this batch scattered; loop
-            // to claim them, since their submitters saw a stale prefix.
-        }
-    }
-
-    fn finish(self) -> (Vec<f64>, MergeState) {
-        let st = self.state.into_inner().unwrap();
-        debug_assert!(st.pending.is_empty(), "merger drained before every submit");
-        (self.bc.into_inner().unwrap(), st)
+    fn put(&self, ws: kernel::Workspace) {
+        self.0.lock().unwrap_or_else(|p| p.into_inner()).push(ws);
     }
 }
 
@@ -443,252 +337,63 @@ pub fn bc_apgre_with(g: &Graph, opts: &ApgreOptions) -> (Vec<f64>, ApgreReport) 
     bc_from_decomposition(g, &decomp, opts)
 }
 
-/// Runs only steps 2–3 on a pre-built decomposition. Exposed so the harness
-/// can sweep kernel options without re-decomposing, and so incremental
-/// callers can reuse a decomposition across BC computations.
+/// Runs only steps 2–3 on a pre-built decomposition: [`run_kernels`] over
+/// every sub-graph's full root set, then the Equation-8 fold in ascending
+/// sub-graph index order. Exposed so the harness can sweep kernel options
+/// without re-decomposing, and so incremental callers can reuse a
+/// decomposition across BC computations.
 pub fn bc_from_decomposition(
     g: &Graph,
     decomp: &Decomposition,
     opts: &ApgreOptions,
 ) -> (Vec<f64>, ApgreReport) {
     let bc_start = Instant::now();
-    let threads = rayon::current_num_threads().max(1);
-    let grain = opts.grain.max(1);
-    // Largest-first order: the top sub-graph dominates (Table 4), so it must
-    // start immediately.
-    let mut order: Vec<usize> = (0..decomp.subgraphs.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(decomp.subgraphs[i].num_vertices()));
-
-    let pool = BufferPool::default();
-    let merger = Merger::new(decomp, g.num_vertices());
-    let run_one = |&i: &usize| {
-        let sg = &decomp.subgraphs[i];
-        let n = sg.num_vertices();
-        let t = Instant::now();
-        let mut local = pool.take_local(n);
-        let choice = opts.kernel.choose(sg.roots.len(), n, sg.num_edges(), threads, grain);
-        let edges = match choice {
-            KernelChoice::Seq => {
-                let mut ws = pool.take_seq(n);
-                let e = kernel::bc_in_subgraph_seq_with(sg, &mut local, &mut ws);
-                pool.put_seq(ws);
-                e
-            }
-            KernelChoice::RootParallel => kernel::bc_in_subgraph_root_par(sg, &mut local, grain),
-            KernelChoice::LevelSync => {
-                let mut ws = pool.take_par(n);
-                let e = kernel::bc_in_subgraph_level_sync_with(sg, &mut local, grain, &mut ws);
-                pool.put_par(ws);
-                e
-            }
-        };
-        merger.submit(i, SubResult { local, edges, time: t.elapsed(), choice }, &pool);
-    };
-    if opts.outer_parallel {
-        order.par_iter().for_each(run_one);
-    } else {
-        order.iter().for_each(run_one);
+    let jobs: Vec<(usize, &[VertexId])> =
+        decomp.subgraphs.iter().enumerate().map(|(i, sg)| (i, sg.roots.as_slice())).collect();
+    let runs = run_kernels(decomp, &jobs, opts, false);
+    let mut bc = vec![0.0f64; g.num_vertices()];
+    for run in &runs {
+        let sg = &decomp.subgraphs[run.index];
+        for (&v, &score) in sg.globals.iter().zip(&run.local) {
+            bc[v as usize] += score;
+        }
     }
-    let (bc, merged) = merger.finish();
-    let bc_time = bc_start.elapsed();
-
-    let top = decomp.subgraphs.get(decomp.top_subgraph);
-    let report = ApgreReport {
-        partition_time: decomp.timings.partition,
-        alpha_beta_time: decomp.timings.alpha_beta,
-        bc_time,
-        top_subgraph_bc_time: merged.top_time,
-        num_subgraphs: decomp.num_subgraphs(),
-        num_articulation_points: decomp.is_articulation.iter().filter(|&&a| a).count(),
-        top_subgraph_vertices: top.map_or(0, |sg| sg.num_vertices()),
-        top_subgraph_edges: top.map_or(0, |sg| sg.num_edges()),
-        total_roots: decomp.subgraphs.iter().map(|sg| sg.roots.len()).sum(),
-        total_whiskers: decomp
-            .subgraphs
-            .iter()
-            .map(|sg| sg.is_whisker.iter().filter(|&&w| w).count())
-            .sum(),
-        edges_traversed: merged.edges_traversed,
-        kernel_policy: opts.kernel,
-        grain,
-        top_subgraph_kernel: merged.top_choice,
-        kernel_counts: merged.counts,
-    };
+    let mut report = ApgreReport::from_structure(decomp, opts);
+    report.absorb_runs(decomp.top_subgraph, &runs);
+    // The batch phase reports its wall clock, not the sum of kernel times.
+    report.bc_time = bc_start.elapsed();
     (bc, report)
 }
 
-/// The outcome of running one sub-graph's kernel through
-/// [`run_subgraph_kernels`]: the local score vector (indexed by local vertex
-/// id, scatter via `sg.globals`) plus per-run statistics.
+/// The outcome of one job of [`run_kernels`]: the local score vector
+/// (indexed by local vertex id, scatter via `sg.globals`) plus per-run
+/// statistics.
 #[derive(Clone, Debug)]
 pub struct SubgraphKernelRun {
     /// Index of the sub-graph within the decomposition.
     pub index: usize,
-    /// Local BC contribution of this sub-graph (Equation 8 summand),
-    /// indexed by local vertex id.
+    /// Unscaled Equation-7 contribution of the swept roots (the Equation-8
+    /// summand when every root was swept), indexed by local vertex id.
     pub local: Vec<f64>,
     /// Edges examined by the kernel (forward + backward scans).
     pub edges: u64,
-    /// The kernel actually dispatched.
+    /// The kernel actually dispatched (`Seq` whenever stats were
+    /// requested: the observed sweep is sequential).
     pub choice: KernelChoice,
     /// Wall clock of this sub-graph's kernel.
     pub time: Duration,
+    /// Per-root contribution statistics, present exactly when
+    /// [`run_kernels`] was called with `stats`.
+    pub stats: Option<RootStats>,
 }
 
-/// Runs the per-sub-graph BC kernel for exactly the sub-graphs named by
-/// `indices`, returning their local score vectors **without** scattering
-/// them into a global vector.
-///
-/// This is step 2 of the pipeline factored out of [`bc_from_decomposition`]
-/// for callers that own the merge — the incremental engine stores each
-/// sub-graph's contribution so a later batch can replace just the dirty ones
-/// and refold. Scheduling matches the batch driver: largest-first dispatch,
-/// one shared [`BufferPool`] for kernel workspaces (score vectors are not
-/// pooled — they are the return value), `opts.kernel`/`opts.grain` policy
-/// resolution per sub-graph, and the outer rayon loop when
-/// `opts.outer_parallel`. Each returned vector is produced by the same
-/// kernel the batch driver would pick, so per-sub-graph results are bitwise
-/// identical to a batch run's (for `Seq`/`LevelSync` unconditionally; for
-/// `RootParallel` per pool size).
-///
-/// Results are sorted by ascending sub-graph index before returning, so a
-/// caller folding them in list order reproduces the batch driver's
-/// deterministic merge order.
-pub fn run_subgraph_kernels(
-    decomp: &Decomposition,
-    indices: &[usize],
-    opts: &ApgreOptions,
-) -> Vec<SubgraphKernelRun> {
-    let threads = rayon::current_num_threads().max(1);
-    let grain = opts.grain.max(1);
-    let mut order: Vec<usize> = indices.to_vec();
-    // Callers pass sub-graph ids taken from this same decomposition.
-    order.sort_by_key(|&i| std::cmp::Reverse(decomp.subgraphs[i].num_vertices())); // lint:allow(panic_path)
-
-    let pool = BufferPool::default();
-    let out: Mutex<Vec<SubgraphKernelRun>> = Mutex::new(Vec::with_capacity(order.len()));
-    let run_one = |&i: &usize| {
-        let sg = &decomp.subgraphs[i]; // lint:allow(panic_path) — same contract as the sort above
-        let n = sg.num_vertices();
-        let t = Instant::now();
-        let mut local = vec![0.0f64; n];
-        let choice = opts.kernel.choose(sg.roots.len(), n, sg.num_edges(), threads, grain);
-        let edges = match choice {
-            KernelChoice::Seq => {
-                let mut ws = pool.take_seq(n);
-                let e = kernel::bc_in_subgraph_seq_with(sg, &mut local, &mut ws);
-                pool.put_seq(ws);
-                e
-            }
-            KernelChoice::RootParallel => kernel::bc_in_subgraph_root_par(sg, &mut local, grain),
-            KernelChoice::LevelSync => {
-                let mut ws = pool.take_par(n);
-                let e = kernel::bc_in_subgraph_level_sync_with(sg, &mut local, grain, &mut ws);
-                pool.put_par(ws);
-                e
-            }
-        };
-        let run = SubgraphKernelRun { index: i, local, edges, choice, time: t.elapsed() };
-        // Recover from poisoning: a panicking sibling kernel must not turn
-        // into a second panic here — completed runs are still valid.
-        out.lock().unwrap_or_else(|p| p.into_inner()).push(run);
-    };
-    if opts.outer_parallel {
-        order.par_iter().for_each(run_one);
-    } else {
-        order.iter().for_each(run_one);
-    }
-    let mut runs = out.into_inner().unwrap_or_else(|p| p.into_inner());
-    runs.sort_by_key(|r| r.index);
-    runs
-}
-
-/// [`run_subgraph_kernels`] over explicit per-sub-graph root slices instead
-/// of each sub-graph's full `roots` — the engine of the sampled estimator.
-///
-/// Each job `(index, roots)` sweeps exactly `roots` (compacted local ids of
-/// sub-graph `index`) through the same kernel the batch driver would pick,
-/// with the policy resolved on the *sampled* root count, the same shared
-/// [`BufferPool`], largest-first dispatch, and the outer rayon loop when
-/// `opts.outer_parallel`. The returned local vectors are the exact
-/// Equation-7 contribution of those roots — unscaled; the caller applies the
-/// sampling scale. Results come back sorted by ascending sub-graph index, so
-/// a list-order fold reproduces the deterministic batch merge order, and for
-/// a given root slice the per-sub-graph vectors are bitwise reproducible
-/// (`Seq`/`LevelSync` unconditionally; `RootParallel` per pool size).
-pub fn run_sampled_subgraph_kernels(
-    decomp: &Decomposition,
-    jobs: &[(usize, &[apgre_graph::VertexId])],
-    opts: &ApgreOptions,
-) -> Vec<SubgraphKernelRun> {
-    let threads = rayon::current_num_threads().max(1);
-    let grain = opts.grain.max(1);
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    // Callers pass sub-graph ids taken from this same decomposition.
-    order.sort_by_key(|&j| std::cmp::Reverse(decomp.subgraphs[jobs[j].0].num_vertices())); // lint:allow(panic_path)
-
-    let pool = BufferPool::default();
-    let out: Mutex<Vec<SubgraphKernelRun>> = Mutex::new(Vec::with_capacity(order.len()));
-    let run_one = |&j: &usize| {
-        let (i, roots) = jobs[j]; // lint:allow(panic_path) — j comes from the order permutation
-        let sg = &decomp.subgraphs[i]; // lint:allow(panic_path) — same contract as the sort above
-        let n = sg.num_vertices();
-        let t = Instant::now();
-        let mut local = vec![0.0f64; n];
-        let choice = opts.kernel.choose(roots.len(), n, sg.num_edges(), threads, grain);
-        let edges = match choice {
-            KernelChoice::Seq => {
-                let mut ws = pool.take_seq(n);
-                let e = kernel::bc_in_subgraph_seq_roots_with(sg, roots, &mut local, &mut ws);
-                pool.put_seq(ws);
-                e
-            }
-            KernelChoice::RootParallel => {
-                kernel::bc_in_subgraph_root_par_roots(sg, roots, &mut local, grain)
-            }
-            KernelChoice::LevelSync => {
-                let mut ws = pool.take_par(n);
-                let e = kernel::bc_in_subgraph_level_sync_roots_with(
-                    sg, roots, &mut local, grain, &mut ws,
-                );
-                pool.put_par(ws);
-                e
-            }
-        };
-        let run = SubgraphKernelRun { index: i, local, edges, choice, time: t.elapsed() };
-        // Recover from poisoning: a panicking sibling kernel must not turn
-        // into a second panic here — completed runs are still valid.
-        out.lock().unwrap_or_else(|p| p.into_inner()).push(run);
-    };
-    if opts.outer_parallel {
-        order.par_iter().for_each(run_one);
-    } else {
-        order.iter().for_each(run_one);
-    }
-    let mut runs = out.into_inner().unwrap_or_else(|p| p.into_inner());
-    runs.sort_by_key(|r| r.index);
-    runs
-}
-
-/// [`run_sampled_subgraph_kernels`] plus per-root contribution statistics —
-/// the kernel side of the variance-guided budget allocator.
-///
-/// Each job's roots are swept by the *observed sequential* kernel
-/// ([`kernel::bc_in_subgraph_seq_roots_observed`]): per-root Welford
-/// accumulation needs the roots in a fixed order, and only the sequential
-/// sweep visits them in slice order, so the per-sub-graph statistics are a
-/// pure function of `(sub-graph content, root slice)` regardless of policy,
-/// thread count, or scheduling. Parallelism still applies *across* jobs
-/// (`opts.outer_parallel`), which is where the sampled workload's
-/// concurrency lives anyway. The returned `local` span is bitwise identical
-/// to a `KernelPolicy::Seq` run of [`run_sampled_subgraph_kernels`] over the
-/// same roots.
+/// Streaming (Welford) statistics of the per-root contributions of one
+/// [`run_kernels`] job — the kernel side of the variance-guided budget
+/// allocator. Roots are folded in slice order, so the statistics are a pure
+/// function of `(sub-graph content, root slice)` regardless of policy,
+/// thread count, or scheduling.
 #[derive(Clone, Debug)]
-pub struct SubgraphSampleStats {
-    /// Index of the sub-graph within the decomposition.
-    pub index: usize,
-    /// Unscaled Equation-7 contribution of the swept roots (local ids).
-    pub local: Vec<f64>,
+pub struct RootStats {
     /// Per-local-vertex Welford `M2` of the per-root contributions: the
     /// sample variance of root `r`'s contribution to vertex `v` is
     /// `vertex_m2[v] / (roots − 1)` (0 when fewer than two roots).
@@ -699,75 +404,84 @@ pub struct SubgraphSampleStats {
     pub mass_m2: f64,
     /// Number of roots swept.
     pub roots: usize,
-    /// Edges examined by the kernel (forward + backward scans).
-    pub edges: u64,
-    /// Wall clock of this sub-graph's kernel.
-    pub time: Duration,
 }
 
-/// Runs the observed sequential kernel over explicit per-sub-graph root
-/// slices, returning each sub-graph's span *and* the running per-root
-/// contribution statistics ([`SubgraphSampleStats`]). Results come back
-/// sorted by ascending sub-graph index, like every other dispatcher here.
-pub fn run_sampled_subgraph_kernels_stats(
+impl RootStats {
+    fn new(n: usize) -> Self {
+        RootStats { vertex_m2: vec![0.0; n], mass_mean: 0.0, mass_m2: 0.0, roots: 0 }
+    }
+
+    /// Folds one root's dense contribution vector `c` into the accumulators;
+    /// `mean` is the per-vertex running mean, same length as `c`.
+    fn observe(&mut self, mean: &mut [f64], c: &[f64]) {
+        self.roots += 1;
+        let k = self.roots as f64;
+        let mut mass = 0.0f64;
+        for ((&x, m), m2) in c.iter().zip(mean.iter_mut()).zip(self.vertex_m2.iter_mut()) {
+            mass += x;
+            let d = x - *m;
+            *m += d / k;
+            *m2 += d * (x - *m);
+        }
+        let d = mass - self.mass_mean;
+        self.mass_mean += d / k;
+        self.mass_m2 += d * (mass - self.mass_mean);
+    }
+}
+
+/// The sub-graph dispatcher: runs [`kernel::bc_in_subgraph`] for every job
+/// `(index, roots)` — `roots` being compacted local ids of sub-graph
+/// `index`, `&sg.roots` for exact BC or a sample for the estimator — and
+/// returns each job's local span **without** scattering it into a global
+/// vector.
+///
+/// Scheduling: largest sub-graph first (the top sub-graph dominates,
+/// Table 4, so it must start immediately), one shared `BufferPool` of
+/// kernel workspaces, `opts.kernel`/`opts.grain` resolved per job on the
+/// job's root count, and the outer rayon loop when `opts.outer_parallel`.
+/// Results come back sorted by ascending job sub-graph index, so a caller
+/// folding them in list order reproduces the batch driver's deterministic
+/// merge order; each span is bitwise reproducible (`Seq`/`LevelSync`
+/// unconditionally, `RootParallel` per pool size).
+///
+/// With `stats`, every job runs the observed sequential sweep and carries
+/// its [`RootStats`]; the span stays bitwise identical to a
+/// `KernelPolicy::Seq` run over the same roots. Parallelism then applies
+/// only *across* jobs, which is where the sampled workload's concurrency
+/// lives anyway.
+pub fn run_kernels(
     decomp: &Decomposition,
-    jobs: &[(usize, &[apgre_graph::VertexId])],
+    jobs: &[(usize, &[VertexId])],
     opts: &ApgreOptions,
-) -> Vec<SubgraphSampleStats> {
+    stats: bool,
+) -> Vec<SubgraphKernelRun> {
+    let threads = rayon::current_num_threads().max(1);
+    let grain = opts.grain.max(1);
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     // Callers pass sub-graph ids taken from this same decomposition.
     order.sort_by_key(|&j| std::cmp::Reverse(decomp.subgraphs[jobs[j].0].num_vertices())); // lint:allow(panic_path)
 
     let pool = BufferPool::default();
-    let out: Mutex<Vec<SubgraphSampleStats>> = Mutex::new(Vec::with_capacity(order.len()));
+    let out: Mutex<Vec<SubgraphKernelRun>> = Mutex::new(Vec::with_capacity(order.len()));
     let run_one = |&j: &usize| {
-        let (i, roots) = jobs[j]; // lint:allow(panic_path) — j comes from the order permutation
-        let sg = &decomp.subgraphs[i]; // lint:allow(panic_path) — same contract as the sort above
+        let (index, roots) = jobs[j]; // lint:allow(panic_path) — j comes from the order permutation
+        let sg = &decomp.subgraphs[index]; // lint:allow(panic_path) — same contract as the sort above
         let n = sg.num_vertices();
         let t = Instant::now();
         let mut local = vec![0.0f64; n];
-        let mut contrib = vec![0.0f64; n];
-        let mut mean = vec![0.0f64; n];
-        let mut vertex_m2 = vec![0.0f64; n];
-        let (mut mass_mean, mut mass_m2) = (0.0f64, 0.0f64);
-        let mut count = 0usize;
-        let mut ws = pool.take_seq(n);
-        let edges = kernel::bc_in_subgraph_seq_roots_observed(
-            sg,
-            roots,
-            &mut local,
-            &mut ws,
-            &mut contrib,
-            |c| {
-                count += 1;
-                let k = count as f64;
-                let mut mass = 0.0f64;
-                // Audited: `c` is the dense contribution vector of length n,
-                // and mean / vertex_m2 were allocated at n above.
-                // lint:allow(hot_index)
-                for v in 0..n {
-                    let x = c[v];
-                    mass += x;
-                    let d = x - mean[v];
-                    mean[v] += d / k;
-                    vertex_m2[v] += d * (x - mean[v]);
-                }
-                let d = mass - mass_mean;
-                mass_mean += d / k;
-                mass_m2 += d * (mass - mass_mean);
-            },
-        );
-        pool.put_seq(ws);
-        let run = SubgraphSampleStats {
-            index: i,
-            local,
-            vertex_m2,
-            mass_mean,
-            mass_m2,
-            roots: roots.len(),
-            edges,
-            time: t.elapsed(),
+        let mut ws = pool.take();
+        let choice = if stats {
+            KernelChoice::Seq
+        } else {
+            opts.kernel.choose(roots.len(), n, sg.num_edges(), threads, grain)
         };
+        let mut acc = stats.then(|| (RootStats::new(n), vec![0.0f64; n]));
+        let mut observe = acc.as_mut().map(|(st, mean)| move |c: &[f64]| st.observe(mean, c));
+        let observe = observe.as_mut().map(|f| f as &mut dyn FnMut(&[f64]));
+        let edges = kernel::bc_in_subgraph(sg, roots, choice, grain, &mut ws, &mut local, observe);
+        let stats = acc.map(|(st, _)| st);
+        pool.put(ws);
+        let run = SubgraphKernelRun { index, local, edges, choice, time: t.elapsed(), stats };
         // Recover from poisoning: a panicking sibling kernel must not turn
         // into a second panic here — completed runs are still valid.
         out.lock().unwrap_or_else(|p| p.into_inner()).push(run);
@@ -965,116 +679,29 @@ mod tests {
         assert!(report.edges_traversed < brandes_edges / 2);
     }
 
-    #[test]
-    fn run_subgraph_kernels_refolds_to_batch_result() {
-        for (name, g) in zoo() {
-            let opts = ApgreOptions::default();
-            let decomp = decompose(&g, &opts.partition);
-            let (want, _) = bc_from_decomposition(&g, &decomp, &opts);
-            let runs = run_subgraph_kernels(
-                &decomp,
-                &(0..decomp.num_subgraphs()).collect::<Vec<_>>(),
-                &opts,
-            );
-            assert_eq!(runs.len(), decomp.num_subgraphs(), "{name}");
-            let mut got = vec![0.0f64; g.num_vertices()];
-            // Ascending-index fold = the Merger's scatter order, so the sums
-            // must be bitwise identical for deterministic kernels.
-            for (k, run) in runs.iter().enumerate() {
-                assert_eq!(run.index, k, "{name}: sorted ascending");
-                let sg = &decomp.subgraphs[run.index];
-                for (l, &score) in run.local.iter().enumerate() {
-                    got[sg.globals[l] as usize] += score;
-                }
-            }
-            for v in 0..got.len() {
-                assert!(
-                    (got[v] - want[v]).abs() <= 1e-9 * (1.0 + want[v].abs()),
-                    "{name}: vertex {v}: {} vs {}",
-                    got[v],
-                    want[v]
-                );
-            }
-        }
+    fn all_roots(decomp: &Decomposition) -> Vec<(usize, &[VertexId])> {
+        decomp.subgraphs.iter().enumerate().map(|(i, sg)| (i, sg.roots.as_slice())).collect()
     }
 
     #[test]
-    fn run_subgraph_kernels_seq_is_bitwise() {
+    fn run_kernels_refolds_bitwise_to_batch_result() {
         for (name, g) in zoo() {
-            let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
-            let decomp = decompose(&g, &opts.partition);
-            let (want, _) = bc_from_decomposition(&g, &decomp, &opts);
-            let all: Vec<usize> = (0..decomp.num_subgraphs()).collect();
-            let runs = run_subgraph_kernels(&decomp, &all, &opts);
-            let mut got = vec![0.0f64; g.num_vertices()];
-            for run in &runs {
-                let sg = &decomp.subgraphs[run.index];
-                for (l, &score) in run.local.iter().enumerate() {
-                    got[sg.globals[l] as usize] += score;
+            for kernel in [KernelPolicy::Seq, KernelPolicy::Auto, KernelPolicy::LevelSync] {
+                let opts = ApgreOptions { kernel, grain: 1, ..Default::default() };
+                let decomp = decompose(&g, &opts.partition);
+                let (want, _) = bc_from_decomposition(&g, &decomp, &opts);
+                let runs = run_kernels(&decomp, &all_roots(&decomp), &opts, false);
+                assert_eq!(runs.len(), decomp.num_subgraphs(), "{name}");
+                let mut got = vec![0.0f64; g.num_vertices()];
+                for (k, run) in runs.iter().enumerate() {
+                    assert_eq!(run.index, k, "{name}: sorted ascending");
+                    assert!(run.stats.is_none(), "{name}: no stats unless requested");
+                    let sg = &decomp.subgraphs[run.index];
+                    for (l, &score) in run.local.iter().enumerate() {
+                        got[sg.globals[l] as usize] += score;
+                    }
                 }
-            }
-            assert_eq!(got, want, "{name}: forced-Seq refold must be bitwise");
-        }
-    }
-
-    #[test]
-    fn run_sampled_subgraph_kernels_full_roots_is_bitwise_to_unsampled() {
-        for (name, g) in zoo() {
-            let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
-            let decomp = decompose(&g, &opts.partition);
-            let all: Vec<usize> = (0..decomp.num_subgraphs()).collect();
-            let want = run_subgraph_kernels(&decomp, &all, &opts);
-            let jobs: Vec<(usize, &[u32])> =
-                all.iter().map(|&i| (i, decomp.subgraphs[i].roots.as_slice())).collect();
-            let got = run_sampled_subgraph_kernels(&decomp, &jobs, &opts);
-            assert_eq!(got.len(), want.len(), "{name}");
-            for (a, b) in got.iter().zip(&want) {
-                assert_eq!(a.index, b.index, "{name}");
-                assert_eq!(
-                    a.local, b.local,
-                    "{name}: SG{} full-roots sample must be bitwise",
-                    a.index
-                );
-                assert_eq!(a.edges, b.edges, "{name}");
-            }
-        }
-    }
-
-    #[test]
-    fn sampled_root_subsets_sum_to_full_sweep() {
-        // Root additivity: sweeping a partition of the roots in two sampled
-        // calls folds (in slice order) to the full sequential sweep.
-        let g = generators::whiskered_community(&generators::WhiskeredCommunityParams {
-            core_vertices: 70,
-            core_attach: 2,
-            community_count: 5,
-            community_size: 9,
-            community_density: 1.7,
-            whiskers: 30,
-            seed: 77,
-        });
-        let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
-        let decomp = decompose(&g, &opts.partition);
-        for (i, sg) in decomp.subgraphs.iter().enumerate() {
-            let mid = sg.roots.len() / 2;
-            let (front, back) = sg.roots.split_at(mid);
-            let jobs = [(i, front), (i, back)];
-            let halves = run_sampled_subgraph_kernels(&decomp, &jobs, &opts);
-            let mut folded = vec![0.0f64; sg.num_vertices()];
-            for run in &halves {
-                for (l, &x) in run.local.iter().enumerate() {
-                    folded[l] += x;
-                }
-            }
-            let mut full = vec![0.0f64; sg.num_vertices()];
-            kernel::bc_in_subgraph_seq(sg, &mut full);
-            for l in 0..full.len() {
-                assert!(
-                    (folded[l] - full[l]).abs() <= 1e-9 * (1.0 + full[l].abs()),
-                    "SG{i} local {l}: {} vs {}",
-                    folded[l],
-                    full[l]
-                );
+                assert_eq!(got, want, "{name}/{kernel:?}: ascending refold must be bitwise");
             }
         }
     }
@@ -1082,37 +709,41 @@ mod tests {
     #[test]
     fn stats_runs_are_bitwise_to_seq_and_welford_consistent() {
         for (name, g) in zoo() {
-            let opts = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
-            let decomp = decompose(&g, &opts.partition);
-            let jobs: Vec<(usize, &[u32])> = decomp
-                .subgraphs
-                .iter()
-                .enumerate()
-                .map(|(i, sg)| (i, sg.roots.as_slice()))
-                .collect();
-            let want = run_sampled_subgraph_kernels(&decomp, &jobs, &opts);
-            let got = run_sampled_subgraph_kernels_stats(&decomp, &jobs, &opts);
-            assert_eq!(got.len(), want.len(), "{name}");
-            for (a, b) in got.iter().zip(&want) {
-                assert_eq!(a.index, b.index, "{name}");
-                assert_eq!(
-                    a.local, b.local,
-                    "{name}: SG{} observed sweep must be bitwise to the plain one",
-                    a.index
-                );
-                assert_eq!(a.edges, b.edges, "{name}");
-                assert_eq!(a.roots, decomp.subgraphs[a.index].roots.len(), "{name}");
-                // The Welford mass mean times the root count is the span
-                // total (up to fp association), and M2 is non-negative.
-                let total: f64 = a.local.iter().sum();
-                let welford_total = a.mass_mean * a.roots as f64;
-                assert!(
-                    (total - welford_total).abs() <= 1e-9 * (1.0 + total.abs()),
-                    "{name}: SG{}: span total {total} vs Welford {welford_total}",
-                    a.index
-                );
-                assert!(a.mass_m2 >= 0.0, "{name}");
-                assert!(a.vertex_m2.iter().all(|&x| x >= 0.0), "{name}");
+            let decomp = decompose(&g, &PartitionOptions::default());
+            let jobs = all_roots(&decomp);
+            let seq = ApgreOptions { kernel: KernelPolicy::Seq, ..Default::default() };
+            let want = run_kernels(&decomp, &jobs, &seq, false);
+            for kernel in [KernelPolicy::Seq, KernelPolicy::RootParallel, KernelPolicy::LevelSync] {
+                let opts = ApgreOptions { kernel, grain: 1, ..Default::default() };
+                let got = run_kernels(&decomp, &jobs, &opts, true);
+                assert_eq!(got.len(), want.len(), "{name}");
+                for (a, b) in got.iter().zip(&want) {
+                    assert_eq!(a.index, b.index, "{name}");
+                    assert_eq!(
+                        a.choice,
+                        KernelChoice::Seq,
+                        "{name}: observed sweeps are sequential"
+                    );
+                    assert_eq!(
+                        a.local, b.local,
+                        "{name}/{kernel:?}: SG{} observed sweep must be bitwise to the plain one",
+                        a.index
+                    );
+                    assert_eq!(a.edges, b.edges, "{name}");
+                    let st = a.stats.as_ref().expect("stats requested");
+                    assert_eq!(st.roots, decomp.subgraphs[a.index].roots.len(), "{name}");
+                    // The Welford mass mean times the root count is the span
+                    // total (up to fp association), and M2 is non-negative.
+                    let total: f64 = a.local.iter().sum();
+                    let welford_total = st.mass_mean * st.roots as f64;
+                    assert!(
+                        (total - welford_total).abs() <= 1e-9 * (1.0 + total.abs()),
+                        "{name}: SG{}: span total {total} vs Welford {welford_total}",
+                        a.index
+                    );
+                    assert!(st.mass_m2 >= 0.0, "{name}");
+                    assert!(st.vertex_m2.iter().all(|&x| x >= 0.0), "{name}");
+                }
             }
         }
     }

@@ -38,7 +38,6 @@ pub mod apgre;
 pub mod approx;
 pub mod brandes;
 pub mod edge;
-pub mod memo;
 pub mod parallel;
 pub mod redundancy;
 pub mod sync;
@@ -46,13 +45,12 @@ pub mod util;
 pub mod weighted;
 
 pub use apgre::{
-    bc_apgre, bc_apgre_with, bc_from_decomposition, run_subgraph_kernels, ApgreOptions,
-    ApgreReport, KernelChoice, KernelPolicy, SubgraphKernelRun,
+    bc_apgre, bc_apgre_with, bc_from_decomposition, run_kernels, ApgreOptions, ApgreReport,
+    KernelChoice, KernelPolicy, RootStats, SubgraphKernelRun,
 };
-pub use approx::{bc_approx, bc_approx_adaptive, bc_approx_apgre};
+pub use approx::{bc_approx, bc_approx_adaptive};
 pub use brandes::{bc_serial, bc_serial_preds};
 pub use edge::{edge_bc, girvan_newman};
-pub use memo::MemoizedBc;
 pub use weighted::{bc_weighted_apgre, bc_weighted_serial};
 
 /// Halves every score: converts the ordered-pair accumulation into the

@@ -65,7 +65,8 @@
 use apgre_bc::apgre::{bc_apgre_with, ApgreOptions};
 use apgre_bc::redundancy;
 use apgre_bench::{
-    fmt_secs, measure_graph, time, with_threads, GraphMeasurement, Table, ALGORITHMS,
+    fmt_secs, interior_chord, measure_graph, time, with_threads, GraphMeasurement, Table,
+    ALGORITHMS,
 };
 use apgre_decomp::{decompose, AlphaBetaMethod, PartitionOptions};
 use apgre_graph::stats::graph_stats;
@@ -748,18 +749,20 @@ fn ablation_gamma(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Va
 /// merge. This is the `inner_parallel_min_vertices: 4096` baseline the
 /// kernel-policy acceptance criterion is measured against.
 fn legacy_driver(g: &apgre_graph::Graph, d: &apgre_decomp::Decomposition) -> Vec<f64> {
-    use apgre_bc::apgre::kernel::{bc_in_subgraph_level_sync, bc_in_subgraph_seq};
+    use apgre_bc::apgre::kernel::{bc_in_subgraph, Workspace};
+    use apgre_bc::KernelChoice;
     use rayon::prelude::*;
     let mut order: Vec<usize> = (0..d.subgraphs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(d.subgraphs[i].num_vertices()));
     let run_one = |&i: &usize| {
         let sg = &d.subgraphs[i];
         let mut local = vec![0.0f64; sg.num_vertices()];
-        if sg.num_vertices() >= 4096 {
-            bc_in_subgraph_level_sync(sg, &mut local, 256);
-        } else {
-            bc_in_subgraph_seq(sg, &mut local);
-        }
+        let choice =
+            if sg.num_vertices() >= 4096 { KernelChoice::LevelSync } else { KernelChoice::Seq };
+        // An empty workspace: the chosen schedule allocates exactly its own
+        // arrays, fresh per sub-graph, as the legacy driver did.
+        let ws = &mut Workspace::new(0);
+        bc_in_subgraph(sg, &sg.roots, choice, 256, ws, &mut local, None);
         (i, local)
     };
     let mut results: Vec<(usize, Vec<f64>)> = order.par_iter().map(run_one).collect();
@@ -1026,27 +1029,13 @@ fn bench_pr3(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Value>)
     let top_index = (0..d.subgraphs.len())
         .max_by_key(|&i| d.subgraphs[i].num_vertices())
         .expect("non-empty decomposition");
-    let interior_pair = |si: usize| -> Option<(u32, u32)> {
-        let sg = &d.subgraphs[si];
-        let interior: Vec<u32> = (0..sg.num_vertices() as u32)
-            .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
-            .collect();
-        for (a, &lu) in interior.iter().enumerate() {
-            for &lv in &interior[a + 1..] {
-                if !sg.graph.out_neighbors(lu).contains(&lv) {
-                    return Some((sg.globals[lu as usize], sg.globals[lv as usize]));
-                }
-            }
-        }
-        None
-    };
     let (chord_sg, (cu, cv)) = (0..d.subgraphs.len())
         .filter(|&i| i != top_index && d.subgraphs[i].num_vertices() >= 10)
-        .find_map(|i| interior_pair(i).map(|p| (i, p)))
+        .find_map(|i| interior_chord(&d.subgraphs[i]).map(|p| (i, p)))
         .expect("no community sub-graph with an interior chord");
     let (_, (bu, bv)) = (0..d.subgraphs.len())
         .filter(|&i| i != top_index && i != chord_sg && d.subgraphs[i].num_vertices() >= 10)
-        .find_map(|i| interior_pair(i).map(|p| (i, p)))
+        .find_map(|i| interior_chord(&d.subgraphs[i]).map(|p| (i, p)))
         .map(|(i, (w, _))| (i, (cu, w)))
         .expect("no second community sub-graph for the structural bridge");
     println!(
@@ -1594,27 +1583,11 @@ fn bench_pr8(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Value>)
     let top_index = (0..d.subgraphs.len())
         .max_by_key(|&i| d.subgraphs[i].num_vertices())
         .expect("non-empty decomposition");
-    let mut chords: Vec<(u32, u32)> = Vec::new();
-    for si in 0..d.subgraphs.len() {
-        if chords.len() == WANT_CHORDS {
-            break;
-        }
-        if si == top_index || d.subgraphs[si].num_vertices() < 10 {
-            continue;
-        }
-        let sg = &d.subgraphs[si];
-        let interior: Vec<u32> = (0..sg.num_vertices() as u32)
-            .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
-            .collect();
-        'outer: for (a, &lu) in interior.iter().enumerate() {
-            for &lv in &interior[a + 1..] {
-                if !sg.graph.out_neighbors(lu).contains(&lv) {
-                    chords.push((sg.globals[lu as usize], sg.globals[lv as usize]));
-                    break 'outer;
-                }
-            }
-        }
-    }
+    let chords: Vec<(u32, u32)> = (0..d.subgraphs.len())
+        .filter(|&i| i != top_index && d.subgraphs[i].num_vertices() >= 10)
+        .filter_map(|i| interior_chord(&d.subgraphs[i]))
+        .take(WANT_CHORDS)
+        .collect();
     assert!(chords.len() >= 4, "only {} community chords found", chords.len());
     println!("{} community chords (first: {} -- {})", chords.len(), chords[0].0, chords[0].1);
 
@@ -1855,27 +1828,11 @@ fn bench_pr9(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Value>)
     let top_index = (0..d.subgraphs.len())
         .max_by_key(|&i| d.subgraphs[i].num_vertices())
         .expect("non-empty decomposition");
-    let mut chords: Vec<(u32, u32)> = Vec::new();
-    for si in 0..d.subgraphs.len() {
-        if chords.len() == WANT_CHORDS {
-            break;
-        }
-        if si == top_index || d.subgraphs[si].num_vertices() < 10 {
-            continue;
-        }
-        let sg = &d.subgraphs[si];
-        let interior: Vec<u32> = (0..sg.num_vertices() as u32)
-            .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
-            .collect();
-        'outer: for (a, &lu) in interior.iter().enumerate() {
-            for &lv in &interior[a + 1..] {
-                if !sg.graph.out_neighbors(lu).contains(&lv) {
-                    chords.push((sg.globals[lu as usize], sg.globals[lv as usize]));
-                    break 'outer;
-                }
-            }
-        }
-    }
+    let chords: Vec<(u32, u32)> = (0..d.subgraphs.len())
+        .filter(|&i| i != top_index && d.subgraphs[i].num_vertices() >= 10)
+        .filter_map(|i| interior_chord(&d.subgraphs[i]))
+        .take(WANT_CHORDS)
+        .collect();
     assert!(chords.len() >= 4, "only {} community chords found", chords.len());
     println!("{} community chords (first: {} -- {})", chords.len(), chords[0].0, chords[0].1);
 
@@ -2173,27 +2130,11 @@ fn bench_pr10(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Value>
     let top_index = (0..d.subgraphs.len())
         .max_by_key(|&i| d.subgraphs[i].num_vertices())
         .expect("non-empty decomposition");
-    let mut chords: Vec<(u32, u32)> = Vec::new();
-    for si in 0..d.subgraphs.len() {
-        if chords.len() == WANT_CHORDS {
-            break;
-        }
-        if si == top_index || d.subgraphs[si].num_vertices() < 10 {
-            continue;
-        }
-        let sg = &d.subgraphs[si];
-        let interior: Vec<u32> = (0..sg.num_vertices() as u32)
-            .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
-            .collect();
-        'outer: for (a, &lu) in interior.iter().enumerate() {
-            for &lv in &interior[a + 1..] {
-                if !sg.graph.out_neighbors(lu).contains(&lv) {
-                    chords.push((sg.globals[lu as usize], sg.globals[lv as usize]));
-                    break 'outer;
-                }
-            }
-        }
-    }
+    let chords: Vec<(u32, u32)> = (0..d.subgraphs.len())
+        .filter(|&i| i != top_index && d.subgraphs[i].num_vertices() >= 10)
+        .filter_map(|i| interior_chord(&d.subgraphs[i]))
+        .take(WANT_CHORDS)
+        .collect();
     assert!(chords.len() >= 4, "only {} community chords found", chords.len());
 
     engine.enable_approx(adaptive.clone());
@@ -2471,27 +2412,11 @@ fn bench_pr4(opts: &Opts, json: &mut serde_json::Map<String, serde_json::Value>)
     let top_index = (0..d.subgraphs.len())
         .max_by_key(|&i| d.subgraphs[i].num_vertices())
         .expect("non-empty decomposition");
-    let mut chords: Vec<(u32, u32)> = Vec::new();
-    for si in 0..d.subgraphs.len() {
-        if chords.len() == CLIENT_THREADS {
-            break;
-        }
-        if si == top_index || d.subgraphs[si].num_vertices() < 10 {
-            continue;
-        }
-        let sg = &d.subgraphs[si];
-        let interior: Vec<u32> = (0..sg.num_vertices() as u32)
-            .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
-            .collect();
-        'outer: for (a, &lu) in interior.iter().enumerate() {
-            for &lv in &interior[a + 1..] {
-                if !sg.graph.out_neighbors(lu).contains(&lv) {
-                    chords.push((sg.globals[lu as usize], sg.globals[lv as usize]));
-                    break 'outer;
-                }
-            }
-        }
-    }
+    let chords: Vec<(u32, u32)> = (0..d.subgraphs.len())
+        .filter(|&i| i != top_index && d.subgraphs[i].num_vertices() >= 10)
+        .filter_map(|i| interior_chord(&d.subgraphs[i]))
+        .take(CLIENT_THREADS)
+        .collect();
     assert_eq!(chords.len(), CLIENT_THREADS, "not enough community sub-graphs with chords");
     drop(d);
 

@@ -5,7 +5,8 @@
 use apgre_bc::apgre::{bc_apgre_with, ApgreOptions, KernelPolicy};
 use apgre_bc::brandes::bc_serial;
 use apgre_bc::parallel::{bc_coarse, bc_hybrid, bc_lock_free, bc_preds, bc_succs};
-use apgre_graph::Graph;
+use apgre_decomp::SubGraph;
+use apgre_graph::{Graph, VertexId};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
@@ -17,6 +18,22 @@ pub const ALGORITHMS: &[&str] =
 /// comparisons (the `bench-pr2` experiment); `APGRE` itself runs
 /// `KernelPolicy::Auto`.
 pub const APGRE_KERNEL_VARIANTS: &[&str] = &["APGRE-seq", "APGRE-rootpar", "APGRE-levelsync"];
+
+/// The first chord of `sg` between two interior (non-boundary, non-whisker),
+/// non-adjacent vertices, as global ids: an edit whose toggling stays
+/// inside `sg`, so only its kernel re-runs. `None` when `sg` has no such
+/// pair.
+pub fn interior_chord(sg: &SubGraph) -> Option<(VertexId, VertexId)> {
+    let interior: Vec<VertexId> = (0..sg.num_vertices() as VertexId)
+        .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
+        .collect();
+    interior.iter().enumerate().find_map(|(a, &lu)| {
+        interior[a + 1..]
+            .iter()
+            .find(|&&lv| !sg.graph.out_neighbors(lu).contains(&lv))
+            .map(|&lv| (sg.globals[lu as usize], sg.globals[lv as usize]))
+    })
+}
 
 /// Runs one named algorithm.
 ///

@@ -118,8 +118,8 @@ impl SubGraph {
     /// count, local edges, per-vertex boundary/α/β/γ/whisker state, and the
     /// root set. Two sub-graphs with equal fingerprints feed the BC kernel
     /// identical inputs, so their local score vectors are interchangeable —
-    /// the basis for both `MemoizedBc` caching and the incremental engine's
-    /// carry-forward of unchanged contributions across re-decompositions.
+    /// the basis of the incremental engine's carry-forward of unchanged
+    /// contributions (and sample spans) across re-decompositions.
     /// Deliberately excludes `id` and `globals`: the local computation does
     /// not depend on where the sub-graph sits in the parent graph.
     pub fn fingerprint(&self) -> u64 {
@@ -148,5 +148,71 @@ impl SubGraph {
             eat(r as u64);
         }
         h
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{decompose, PartitionOptions};
+    use apgre_graph::{generators, Graph, VertexId};
+
+    #[test]
+    fn fingerprint_separates_every_kernel_input() {
+        // `SubGraph::fingerprint` is the single canonical identity behind the
+        // dynamic engine's carry-forward and the sampled estimator's seeds:
+        // any change to a kernel input must change the hash. Perturb each
+        // input dimension of one sub-graph and require pairwise-distinct
+        // hashes.
+        let g = generators::lollipop(5, 4);
+        let d = decompose(&g, &PartitionOptions::default());
+        let base = d.subgraphs.iter().find(|sg| sg.num_edges() > 2).expect("clique sub-graph");
+        let mut prints = vec![("base", base.fingerprint())];
+
+        let mut edge = base.clone();
+        let mut edges: Vec<(VertexId, VertexId)> = edge.graph.undirected_edges().collect();
+        edges.pop();
+        edge.graph = Graph::undirected_from_edges(edge.num_vertices(), &edges);
+        prints.push(("edge-removed", edge.fingerprint()));
+
+        let mut alpha = base.clone();
+        alpha.alpha[0] += 1;
+        prints.push(("alpha", alpha.fingerprint()));
+
+        let mut beta = base.clone();
+        beta.beta[0] += 1;
+        prints.push(("beta", beta.fingerprint()));
+
+        let mut gamma = base.clone();
+        gamma.gamma[0] += 1;
+        prints.push(("gamma", gamma.fingerprint()));
+
+        let mut boundary = base.clone();
+        boundary.is_boundary[0] = !boundary.is_boundary[0];
+        prints.push(("boundary", boundary.fingerprint()));
+
+        let mut whisker = base.clone();
+        whisker.is_whisker[0] = !whisker.is_whisker[0];
+        prints.push(("whisker", whisker.fingerprint()));
+
+        let mut roots = base.clone();
+        roots.roots.pop();
+        prints.push(("roots", roots.fingerprint()));
+
+        for i in 0..prints.len() {
+            for j in i + 1..prints.len() {
+                assert_ne!(
+                    prints[i].1, prints[j].1,
+                    "fingerprint collision between {} and {}",
+                    prints[i].0, prints[j].0
+                );
+            }
+        }
+        // And id/globals are excluded: relabeling alone must NOT change it.
+        let mut relabeled = base.clone();
+        relabeled.id += 17;
+        for v in &mut relabeled.globals {
+            *v += 1000;
+        }
+        assert_eq!(relabeled.fingerprint(), base.fingerprint());
     }
 }

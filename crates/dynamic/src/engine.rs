@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use apgre_approx::{SampleOptions, SampleRefresh, SampleStore};
-use apgre_bc::apgre::{ApgreReport, KernelChoice, SubgraphKernelRun};
-use apgre_bc::{run_subgraph_kernels, ApgreOptions};
+use apgre_bc::apgre::ApgreReport;
+use apgre_bc::{run_kernels, ApgreOptions};
 use apgre_decomp::{decompose, Decomposition, EdgeEdit, MaintainedDecomposition};
 use apgre_graph::{Graph, GraphOverlay};
 use apgre_store::{CowGraph, FoldStore, GraphView, PublishStats, ScoreChunks};
@@ -179,10 +179,11 @@ impl DynamicBc {
         let cow = CowGraph::from_graph(g);
         let maintained = MaintainedDecomposition::new(g, &opts.partition);
         let decomp = maintained.decomp();
-        let all: Vec<usize> = (0..decomp.num_subgraphs()).collect();
-        let runs = run_subgraph_kernels(decomp, &all, &opts);
-        let mut report = structure_report(decomp, &opts);
-        absorb_runs(&mut report, decomp.top_subgraph, &runs);
+        let jobs: Vec<(usize, &[u32])> =
+            decomp.subgraphs.iter().enumerate().map(|(i, sg)| (i, sg.roots.as_slice())).collect();
+        let runs = run_kernels(decomp, &jobs, &opts, false);
+        let mut report = ApgreReport::from_structure(decomp, &opts);
+        report.absorb_runs(decomp.top_subgraph, &runs);
         let mut spans: Vec<(Arc<[u32]>, Arc<[f64]>)> = decomp
             .subgraphs
             .iter()
@@ -477,10 +478,16 @@ impl DynamicBc {
             ap.store.mark_dirty(&outcome.dirty);
         }
 
-        let runs = run_subgraph_kernels(self.maintained.decomp(), &outcome.dirty, &self.opts);
-        let top = self.maintained.decomp().top_subgraph;
-        absorb_runs(&mut self.report, top, &runs);
-        refresh_structure(&mut self.report, self.maintained.decomp());
+        let decomp = self.maintained.decomp();
+        // The maintainer's dirty list indexes this same decomposition.
+        let jobs: Vec<(usize, &[u32])> = outcome
+            .dirty
+            .iter()
+            .map(|&i| (i, decomp.subgraphs[i].roots.as_slice())) // lint:allow(panic_path)
+            .collect();
+        let runs = run_kernels(decomp, &jobs, &self.opts, false);
+        self.report.absorb_runs(decomp.top_subgraph, &runs);
+        self.report.refresh_structure(decomp);
         for run in runs {
             touched.extend_from_slice(&self.maintained.decomp().subgraphs[run.index].globals);
             self.fold.set_values(run.index, Arc::from(run.local));
@@ -544,15 +551,15 @@ impl DynamicBc {
             .iter()
             .map(|sg| (Arc::from(&sg.globals[..]), Arc::from(vec![0.0f64; sg.globals.len()])))
             .collect();
-        let mut misses: Vec<usize> = Vec::new();
+        let mut misses: Vec<(usize, &[u32])> = Vec::new();
         for (i, sg) in new_decomp.subgraphs.iter().enumerate() {
             match carry.get_mut(&sg.fingerprint()).and_then(Vec::pop) {
                 Some(v) => spans[i].1 = v,
-                None => misses.push(i),
+                None => misses.push((i, sg.roots.as_slice())),
             }
         }
         let recomputed = misses.len();
-        let runs = run_subgraph_kernels(&new_decomp, &misses, &self.opts);
+        let runs = run_kernels(&new_decomp, &misses, &self.opts, false);
 
         // Accounting: the re-decomposition's timings and the recomputed
         // kernels' work accumulate; structure fields switch to the new
@@ -560,8 +567,8 @@ impl DynamicBc {
         // known kernel choice (no run happened this batch to observe one).
         self.report.partition_time += new_decomp.timings.partition;
         self.report.alpha_beta_time += new_decomp.timings.alpha_beta;
-        refresh_structure(&mut self.report, &new_decomp);
-        absorb_runs(&mut self.report, new_decomp.top_subgraph, &runs);
+        self.report.refresh_structure(&new_decomp);
+        self.report.absorb_runs(new_decomp.top_subgraph, &runs);
 
         for run in runs {
             spans[run.index].1 = Arc::from(run.local);
@@ -674,63 +681,6 @@ impl ApproxSnapshot {
     /// errors; 0 in uniform mode).
     pub fn stderr(&self, v: usize) -> f64 {
         self.stderr_sq.score(v).sqrt()
-    }
-}
-
-/// Seeds an [`ApgreReport`] from a fresh decomposition: timings come from
-/// the decomposition, every kernel counter starts at zero (to be filled by
-/// [`absorb_runs`]).
-fn structure_report(decomp: &Decomposition, opts: &ApgreOptions) -> ApgreReport {
-    let mut report = ApgreReport {
-        partition_time: decomp.timings.partition,
-        alpha_beta_time: decomp.timings.alpha_beta,
-        bc_time: Duration::ZERO,
-        top_subgraph_bc_time: Duration::ZERO,
-        num_subgraphs: 0,
-        num_articulation_points: 0,
-        top_subgraph_vertices: 0,
-        top_subgraph_edges: 0,
-        total_roots: 0,
-        total_whiskers: 0,
-        edges_traversed: 0,
-        kernel_policy: opts.kernel,
-        grain: opts.grain,
-        top_subgraph_kernel: None,
-        kernel_counts: (0, 0, 0),
-    };
-    refresh_structure(&mut report, decomp);
-    report
-}
-
-/// Overwrites the structure fields of `report` (counts that describe the
-/// *current* decomposition, not accumulated work) from `decomp`.
-fn refresh_structure(report: &mut ApgreReport, decomp: &Decomposition) {
-    let top = decomp.subgraphs.get(decomp.top_subgraph);
-    report.num_subgraphs = decomp.num_subgraphs();
-    report.num_articulation_points = decomp.is_articulation.iter().filter(|&&a| a).count();
-    report.top_subgraph_vertices = top.map_or(0, |sg| sg.num_vertices());
-    report.top_subgraph_edges = top.map_or(0, |sg| sg.num_edges());
-    report.total_roots = decomp.subgraphs.iter().map(|sg| sg.roots.len()).sum();
-    report.total_whiskers =
-        decomp.subgraphs.iter().map(|sg| sg.is_whisker.iter().filter(|&&w| w).count()).sum();
-}
-
-/// Accumulates kernel-run work (time, traversed edges, per-kernel counts)
-/// into `report`; `top_index` marks the run whose choice/time also fills
-/// the top-sub-graph fields.
-fn absorb_runs(report: &mut ApgreReport, top_index: usize, runs: &[SubgraphKernelRun]) {
-    for run in runs {
-        report.bc_time += run.time;
-        report.edges_traversed += run.edges;
-        match run.choice {
-            KernelChoice::Seq => report.kernel_counts.0 += 1,
-            KernelChoice::RootParallel => report.kernel_counts.1 += 1,
-            KernelChoice::LevelSync => report.kernel_counts.2 += 1,
-        }
-        if run.index == top_index {
-            report.top_subgraph_kernel = Some(run.choice);
-            report.top_subgraph_bc_time += run.time;
-        }
     }
 }
 
@@ -1003,6 +953,14 @@ mod tests {
         let after = engine.report();
         assert_eq!(after.num_subgraphs, engine.decomposition().num_subgraphs());
         assert_eq!(engine.last_batch().unwrap().class, BatchClass::Structural);
+
+        // The engine and the batch driver build their reports in one place,
+        // so they agree on the configuration — including a zero grain, which
+        // both run (and report) as the effective grain 1.
+        let zero = ApgreOptions { grain: 0, ..fine_opts() };
+        let batch = apgre_bc::bc_apgre_with(&g, &zero).1;
+        assert_eq!(DynamicBc::new(&g, zero).report().grain, batch.grain);
+        assert_eq!(batch.grain, 1);
     }
 
     #[test]

@@ -708,7 +708,7 @@ fn ordering_args(g: &Group) -> Vec<String> {
 
 /// Call-expansion depth for panic reachability: the root body plus two hops,
 /// enough to cross the engine → sub-graph-scheduler boundary
-/// (`DynamicBc::apply` → `rebuild_structural` → `run_subgraph_kernels`)
+/// (`DynamicBc::apply` → `rebuild_structural` → `run_kernels`)
 /// without degenerating into a whole-program scan.
 const R8_DEPTH: usize = 2;
 

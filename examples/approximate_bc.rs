@@ -6,7 +6,7 @@
 //! cargo run --release --example approximate_bc
 //! ```
 
-use apgre::bc::approx::{bc_approx, bc_approx_apgre, spearman_rank_correlation};
+use apgre::bc::approx::{bc_approx, spearman_rank_correlation};
 use apgre::prelude::*;
 use apgre::workloads::{get, Scale};
 use std::time::Instant;
@@ -41,11 +41,19 @@ fn main() {
         );
     }
 
+    // The composed estimator takes a global root budget: ⌈fraction · Σ|R|⌉
+    // roots, spread over the sub-graphs by the variance-guided allocator.
+    let opts = ApgreOptions::default();
+    let total_roots: usize =
+        decompose(&g, &opts.partition).subgraphs.iter().map(|sg| sg.roots.len()).sum();
+    let budget =
+        |fraction: f64| SampleOptions::adaptive((fraction * total_roots as f64).ceil() as usize, 7);
+
     println!("\nsampling composed with APGRE (per-sub-graph pivots, γ folding kept):");
     println!("{:<10} {:>10} {:>10} {:>12}", "fraction", "time", "speedup", "spearman ρ");
     for fraction in [0.05, 0.1, 0.25, 0.5] {
         let t = Instant::now();
-        let est = bc_approx_apgre(&g, fraction, 7, &ApgreOptions::default());
+        let est = bc_sampled(&g, &opts, &budget(fraction));
         let dt = t.elapsed();
         let rho = spearman_rank_correlation(&exact, &est);
         println!(
@@ -58,7 +66,7 @@ fn main() {
     }
 
     // Top-10 overlap at the cheapest setting.
-    let est = bc_approx_apgre(&g, 0.1, 7, &ApgreOptions::default());
+    let est = bc_sampled(&g, &opts, &budget(0.1));
     let top = |xs: &[f64]| -> std::collections::HashSet<usize> {
         let mut idx: Vec<usize> = (0..xs.len()).collect();
         idx.sort_by(|&a, &b| xs[b].total_cmp(&xs[a]));

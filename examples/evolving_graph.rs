@@ -1,12 +1,11 @@
-//! Evolving-graph BC with decomposition-grained memoization: recompute
-//! betweenness after small edits, re-sweeping only the sub-graphs whose
-//! structure actually changed.
+//! Evolving-graph BC with the incremental engine: recompute betweenness
+//! after small edits, re-sweeping only the sub-graphs whose structure
+//! actually changed and reusing every other sub-graph's contribution.
 //!
 //! ```sh
 //! cargo run --release --example evolving_graph
 //! ```
 
-use apgre::bc::memo::MemoizedBc;
 use apgre::prelude::*;
 use apgre::workloads::{get, Scale};
 use std::time::Instant;
@@ -15,53 +14,56 @@ fn main() {
     let g0 = get("email-enron-like").unwrap().graph(Scale::Small);
     println!("base graph: {} vertices, {} edges", g0.num_vertices(), g0.num_edges());
 
-    let mut memo = MemoizedBc::new(PartitionOptions::default());
-
     let t = Instant::now();
-    let scores0 = memo.compute(&g0);
+    let mut engine = DynamicBc::new(&g0, ApgreOptions::default());
     println!(
-        "\ncold run: {:?} ({} sub-graph sweeps, {} cached)",
+        "\ncold run: {:?} ({} sub-graph kernels)",
         t.elapsed(),
-        memo.misses,
-        memo.cached_subgraphs()
+        engine.decomposition().num_subgraphs()
     );
 
-    // Simulate an evolving network: add a few chords inside one community
-    // at a time and recompute.
-    let mut edges: Vec<(VertexId, VertexId)> = g0.undirected_edges().collect();
-    let decomp = decompose(&g0, &PartitionOptions::default());
-    let small_sgs: Vec<_> = decomp
+    // Simulate an evolving network: add a chord between two interior
+    // (non-boundary, non-whisker) vertices of one community at a time. The
+    // edit stays inside that sub-graph, so only its kernel re-runs.
+    let decomp = engine.decomposition().clone();
+    let chords: Vec<(usize, VertexId, VertexId)> = decomp
         .subgraphs
         .iter()
-        .filter(|sg| sg.id != decomp.subgraphs[decomp.top_subgraph].id && sg.num_vertices() >= 4)
+        .filter(|sg| sg.id != decomp.top_subgraph)
+        .filter_map(|sg| {
+            let interior: Vec<VertexId> = (0..sg.num_vertices() as VertexId)
+                .filter(|&l| !sg.is_boundary[l as usize] && !sg.is_whisker[l as usize])
+                .collect();
+            interior.iter().enumerate().find_map(|(i, &lu)| {
+                interior[i + 1..]
+                    .iter()
+                    .find(|&&lv| !sg.graph.out_neighbors(lu).contains(&lv))
+                    .map(|&lv| (sg.id, sg.globals[lu as usize], sg.globals[lv as usize]))
+            })
+        })
         .take(5)
         .collect();
 
-    for (step, sg) in small_sgs.iter().enumerate() {
-        // Add a chord between the first and last local vertices of this
-        // community (if absent) — counts stay fixed, so every other
-        // sub-graph's fingerprint is untouched.
-        let (a, b) = (sg.globals[0], *sg.globals.last().unwrap());
-        if a != b {
-            edges.push((a, b));
-        }
-        let g = Graph::undirected_from_edges(g0.num_vertices(), &edges);
-        let before = memo.misses;
-        let t = Instant::now();
-        let scores = memo.compute(&g);
-        let dt = t.elapsed();
+    let mut reused = 0usize;
+    let mut rerun = 0usize;
+    for (step, &(sg, a, b)) in chords.iter().enumerate() {
+        let report = engine.apply(&MutationBatch::new().add_edge(a, b));
+        reused += report.reused_contributions;
+        rerun += report.dirty_subgraphs;
         println!(
-            "edit {}: +chord in SG{} -> recompute {:?}, re-swept {} sub-graph(s), hit {} cached",
+            "edit {}: +chord in SG{sg} -> {:?} batch in {:?}, re-ran {} sub-graph(s), \
+             reused {} contribution(s)",
             step + 1,
-            sg.id,
-            dt,
-            memo.misses - before,
-            memo.hits
+            report.class,
+            report.wall_clock,
+            report.dirty_subgraphs,
+            report.reused_contributions
         );
         // Exactness spot-check every other step.
         if step % 2 == 0 {
-            let exact = bc_serial(&g);
-            let max_err = scores
+            let exact = bc_serial(&engine.current_graph());
+            let max_err = engine
+                .scores()
                 .iter()
                 .zip(&exact)
                 .map(|(x, y)| (x - y).abs() / (1.0 + y.abs()))
@@ -70,11 +72,5 @@ fn main() {
         }
     }
 
-    println!(
-        "\nfinal cache: {} sub-graph results, {} total hits / {} kernel runs",
-        memo.cached_subgraphs(),
-        memo.hits,
-        memo.misses
-    );
-    let _ = scores0;
+    println!("\ntotals: {reused} contributions reused / {rerun} kernel runs");
 }

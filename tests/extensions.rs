@@ -1,9 +1,8 @@
-//! Integration tests for the extension modules (weighted, edge, approx,
-//! memo) across the workload registry.
+//! Integration tests for the extension modules (weighted, edge, sampled
+//! approximation) across the workload registry.
 
-use apgre::bc::approx::{bc_approx_apgre, spearman_rank_correlation};
+use apgre::bc::approx::spearman_rank_correlation;
 use apgre::bc::edge::{edge_bc, undirected_edge_scores};
-use apgre::bc::memo::MemoizedBc;
 use apgre::bc::weighted::{bc_weighted_apgre, bc_weighted_serial};
 use apgre::graph::WeightedGraph;
 use apgre::prelude::*;
@@ -77,27 +76,12 @@ fn approx_apgre_quality_on_workloads() {
     for name in ["youtube-like", "wikitalk-like"] {
         let g = apgre::workloads::get(name).unwrap().graph(Scale::Tiny);
         let exact = bc_serial(&g);
-        let est = bc_approx_apgre(&g, 0.5, 11, &ApgreOptions::default());
+        // Half the decomposition's roots, spread by the adaptive allocator.
+        let opts = ApgreOptions::default();
+        let total: usize =
+            decompose(&g, &opts.partition).subgraphs.iter().map(|sg| sg.roots.len()).sum();
+        let est = bc_sampled(&g, &opts, &SampleOptions::adaptive(total.div_ceil(2), 11));
         let rho = spearman_rank_correlation(&exact, &est);
         assert!(rho > 0.8, "{name}: spearman {rho}");
     }
-}
-
-#[test]
-fn memo_survives_workload_sequence() {
-    // Feed several distinct graphs through one cache: results stay exact and
-    // repeated graphs are pure hits.
-    let mut memo = MemoizedBc::new(PartitionOptions::default());
-    let graphs: Vec<Graph> =
-        registry().into_iter().step_by(6).map(|s| s.graph(Scale::Tiny)).collect();
-    let mut firsts = Vec::new();
-    for g in &graphs {
-        firsts.push(memo.compute(g));
-    }
-    let misses_after_first_pass = memo.misses;
-    for (g, first) in graphs.iter().zip(&firsts) {
-        let again = memo.compute(g);
-        assert_eq!(&again, first);
-    }
-    assert_eq!(memo.misses, misses_after_first_pass, "second pass must be all hits");
 }

@@ -1,16 +1,11 @@
-//! Kernel-policy equivalence: every sub-graph kernel — `bc_in_subgraph_seq`,
-//! `bc_in_subgraph_seq_with`, `bc_in_subgraph_root_par`,
-//! `bc_in_subgraph_level_sync`, `bc_in_subgraph_level_sync_with` — and every
-//! `KernelPolicy` must reproduce serial Brandes (`bc_serial`) on the
-//! Table-1 workload stand-ins, across grains, pool sizes, and pooled
+//! Kernel-policy equivalence: the sub-graph kernel entry point
+//! `bc_in_subgraph` under every `KernelChoice`, and every `KernelPolicy`,
+//! must reproduce serial Brandes (`bc_serial`) on the Table-1 workload
+//! stand-ins, across grains, pool sizes, root splits, observers, and pooled
 //! (recycled, oversized) workspaces.
 
-use apgre::bc::apgre::kernel::{
-    bc_in_subgraph_level_sync, bc_in_subgraph_level_sync_roots_with,
-    bc_in_subgraph_level_sync_with, bc_in_subgraph_root_par, bc_in_subgraph_root_par_roots,
-    bc_in_subgraph_seq, bc_in_subgraph_seq_roots_with, bc_in_subgraph_seq_with, SgParWs,
-    SgWorkspace,
-};
+use apgre::bc::apgre::kernel::{bc_in_subgraph, Workspace};
+use apgre::bc::run_kernels;
 use apgre::prelude::*;
 use apgre::workloads::{registry, Scale};
 
@@ -53,40 +48,170 @@ fn all_policies_match_bc_serial_on_workloads() {
     }
 }
 
-/// Direct per-sub-graph comparison of all five kernel entry points,
-/// including the pooled `_with` variants running on one shared, deliberately
-/// oversized workspace recycled across sub-graphs of different sizes.
-#[test]
-fn subgraph_kernels_agree_with_each_other_and_bc_serial() {
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+const CHOICES: [KernelChoice; 3] =
+    [KernelChoice::Seq, KernelChoice::RootParallel, KernelChoice::LevelSync];
+
+/// Sweeps every sub-graph of `d` under `choice` and folds the spans into a
+/// global vector (ascending index order); also returns the edges examined.
+/// `pooled` shares one workspace across all sub-graphs (otherwise each gets
+/// a fresh one); `halves` sweeps each root set as two slices into the same
+/// span.
+fn compose(
+    d: &Decomposition,
+    choice: KernelChoice,
+    mut pooled: Option<&mut Workspace>,
+    halves: bool,
+) -> (Vec<f64>, u64) {
+    let mut bc = vec![0.0f64; d.num_vertices];
+    let mut edges = 0u64;
+    for sg in &d.subgraphs {
+        let mut fresh = Workspace::new(sg.num_vertices());
+        let ws = match pooled.as_deref_mut() {
+            Some(ws) => ws,
+            None => &mut fresh,
+        };
+        let mut local = vec![0.0f64; sg.num_vertices()];
+        let grain = if choice == KernelChoice::RootParallel { 2 } else { 1 };
+        let split = if halves { sg.roots.len() / 2 } else { sg.roots.len() };
+        let (front, back) = sg.roots.split_at(split);
+        for roots in [front, back] {
+            edges += bc_in_subgraph(sg, roots, choice, grain, ws, &mut local, None);
+        }
+        for (l, &score) in local.iter().enumerate() {
+            bc[sg.globals[l] as usize] += score;
+        }
+    }
+    (bc, edges)
+}
+
+/// Runs the single kernel entry point under every `KernelChoice` ×
+/// {fresh, oversized pooled `Workspace`}, sweeping each root set whole or
+/// (`halves`) as two slices: each variant reproduces serial Brandes and
+/// agrees with the choice's fresh whole-root-set run — bitwise for `Seq` and
+/// `LevelSync`, to 1e-9 for `RootParallel` (halving the root slice
+/// re-chunks it) — and examines the same number of edges.
+fn assert_kernel_variants(halves: bool) {
     for spec in registry().into_iter().step_by(3) {
         let g = spec.graph(Scale::Tiny);
         let want = bc_serial(&g);
         let d = decompose(&g, &PartitionOptions::default());
-        let mut pooled_seq = SgWorkspace::new(1);
-        let mut pooled_par = SgParWs::new(1);
-        let run = |f: &mut dyn FnMut(&SubGraph, &mut [f64]) -> u64| {
-            let mut bc = vec![0.0f64; g.num_vertices()];
-            for sg in &d.subgraphs {
-                let mut local = vec![0.0f64; sg.num_vertices()];
-                f(sg, &mut local);
-                for (l, &score) in local.iter().enumerate() {
-                    bc[sg.globals[l] as usize] += score;
+        // Warm one shared workspace on the whole graph under every choice so
+        // it is oversized for every sub-graph it later serves.
+        let mut pooled = Workspace::new(1);
+        for choice in CHOICES {
+            compose(&d, choice, Some(&mut pooled), false);
+        }
+        let (_, want_edges) = compose(&d, KernelChoice::Seq, None, false);
+        for choice in CHOICES {
+            let (reference, _) = compose(&d, choice, None, false);
+            for pool in [false, true] {
+                let ctx = format!("{}/{choice:?}/pooled={pool}/halves={halves}", spec.name);
+                let (got, edges) = compose(&d, choice, pool.then_some(&mut pooled), halves);
+                assert_close(&ctx, &got, &want);
+                assert_eq!(edges, want_edges, "{ctx}: edges examined");
+                for v in 0..got.len() {
+                    let (x, y) = (got[v], reference[v]);
+                    if choice == KernelChoice::RootParallel {
+                        assert!((x - y).abs() <= 1e-9 * (1.0 + y.abs()), "{ctx}: vertex {v}");
+                    } else {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: vertex {v}: {x} vs {y}");
+                    }
                 }
             }
-            bc
+        }
+    }
+}
+
+/// Every kernel choice, fresh or on a recycled oversized workspace, matches
+/// the others and serial Brandes over whole root sets.
+#[test]
+fn subgraph_kernels_agree_with_each_other_and_bc_serial() {
+    assert_kernel_variants(false);
+}
+
+/// Explicit root slices: sweeping each root set as two halves into one span
+/// reproduces the whole-root-set sweep under every choice and workspace.
+#[test]
+fn roots_kernel_variants_match_their_full_kernels_and_bc_serial() {
+    assert_kernel_variants(true);
+}
+
+/// An observer forces the sequential, slice-order sweep whatever the
+/// choice: an observed `RootParallel` or `LevelSync` run returns the
+/// `Seq`-bitwise span and hands the observer bitwise the same per-root
+/// contributions, so the estimator's Welford statistics are identical under
+/// every policy — and the observed spans still compose to serial Brandes.
+#[test]
+fn observed_sweeps_are_seq_bitwise_under_every_choice() {
+    for spec in registry().into_iter().step_by(3) {
+        let g = spec.graph(Scale::Tiny);
+        let d = decompose(&g, &PartitionOptions::default());
+        let mut composed = vec![0.0f64; g.num_vertices()];
+        for sg in &d.subgraphs {
+            let n = sg.num_vertices();
+            let mut plain = vec![0.0f64; n];
+            bc_in_subgraph(
+                sg,
+                &sg.roots,
+                KernelChoice::Seq,
+                1,
+                &mut Workspace::new(n),
+                &mut plain,
+                None,
+            );
+            let mut seen: Vec<Vec<Vec<u64>>> = Vec::new();
+            for choice in CHOICES {
+                let mut local = vec![0.0f64; n];
+                let mut per_root: Vec<Vec<u64>> = Vec::new();
+                let mut observe = |c: &[f64]| per_root.push(bits(c));
+                let ws = &mut Workspace::new(1);
+                bc_in_subgraph(sg, &sg.roots, choice, 1, ws, &mut local, Some(&mut observe));
+                assert_eq!(bits(&local), bits(&plain), "{}/SG{}/{choice:?}", spec.name, sg.id);
+                assert_eq!(per_root.len(), sg.roots.len(), "{}/SG{}", spec.name, sg.id);
+                seen.push(per_root);
+            }
+            assert!(
+                seen.windows(2).all(|w| w[0] == w[1]),
+                "{}/SG{}: per-root contributions",
+                spec.name,
+                sg.id
+            );
+            for (l, &score) in plain.iter().enumerate() {
+                composed[sg.globals[l] as usize] += score;
+            }
+        }
+        assert_close(&format!("{}/observed-composed", spec.name), &composed, &bc_serial(&g));
+
+        // Through the dispatcher: stats runs under any policy carry the
+        // same Welford statistics.
+        let jobs: Vec<(usize, &[u32])> =
+            d.subgraphs.iter().enumerate().map(|(i, sg)| (i, sg.roots.as_slice())).collect();
+        let stats = |kernel| {
+            let opts = ApgreOptions { kernel, grain: 1, ..Default::default() };
+            run_kernels(&d, &jobs, &opts, true)
+                .into_iter()
+                .map(|run| {
+                    let st = run.stats.expect("stats requested");
+                    (
+                        bits(&run.local),
+                        bits(&st.vertex_m2),
+                        st.mass_mean.to_bits(),
+                        st.mass_m2.to_bits(),
+                    )
+                })
+                .collect::<Vec<_>>()
         };
-        let mut variants: Vec<(&str, Box<dyn FnMut(&SubGraph, &mut [f64]) -> u64>)> = vec![
-            ("seq", Box::new(bc_in_subgraph_seq)),
-            ("root_par", Box::new(|sg, l| bc_in_subgraph_root_par(sg, l, 2))),
-            ("level_sync", Box::new(|sg, l| bc_in_subgraph_level_sync(sg, l, 1))),
-            ("seq_with", Box::new(|sg, l| bc_in_subgraph_seq_with(sg, l, &mut pooled_seq))),
-            (
-                "level_sync_with",
-                Box::new(|sg, l| bc_in_subgraph_level_sync_with(sg, l, 1, &mut pooled_par)),
-            ),
-        ];
-        for (name, f) in &mut variants {
-            assert_close(&format!("{}/{name}", spec.name), &run(f.as_mut()), &want);
+        let seq = stats(KernelPolicy::Seq);
+        for kernel in [KernelPolicy::RootParallel, KernelPolicy::LevelSync, KernelPolicy::Auto] {
+            assert!(
+                stats(kernel) == seq,
+                "{}/{kernel:?}: Welford stats differ from Seq",
+                spec.name
+            );
         }
     }
 }
@@ -119,42 +244,6 @@ fn grain_sweep_matches_bc_serial() {
             assert_close(&format!("{}/{kernel:?}@g{grain}", spec.name), &got, &want);
             assert_eq!(report.grain, grain.max(1));
         }
-    }
-}
-
-/// The explicit-roots kernel variants, handed the full `sg.roots`, must be
-/// bitwise-identical to their implicit-roots counterparts (they are the
-/// same sweeps in the same order), and composing them reproduces serial
-/// Brandes (`bc_serial`) like every other kernel.
-#[test]
-fn roots_kernel_variants_match_their_full_kernels_and_bc_serial() {
-    for spec in registry().into_iter().step_by(3) {
-        let g = spec.graph(Scale::Tiny);
-        let want = bc_serial(&g);
-        let d = decompose(&g, &PartitionOptions::default());
-        let mut composed = vec![0.0f64; g.num_vertices()];
-        for sg in &d.subgraphs {
-            let n = sg.num_vertices();
-            let (mut full, mut roots) = (vec![0.0f64; n], vec![0.0f64; n]);
-            bc_in_subgraph_seq(sg, &mut full);
-            bc_in_subgraph_seq_roots_with(sg, &sg.roots, &mut roots, &mut SgWorkspace::new(n));
-            assert_eq!(full, roots, "{}/SG{}: seq_roots_with", spec.name, sg.id);
-
-            let (mut full, mut roots) = (vec![0.0f64; n], vec![0.0f64; n]);
-            bc_in_subgraph_root_par(sg, &mut full, 2);
-            bc_in_subgraph_root_par_roots(sg, &sg.roots, &mut roots, 2);
-            assert_eq!(full, roots, "{}/SG{}: root_par_roots", spec.name, sg.id);
-
-            let (mut full, mut lvl) = (vec![0.0f64; n], vec![0.0f64; n]);
-            bc_in_subgraph_level_sync(sg, &mut full, 1);
-            bc_in_subgraph_level_sync_roots_with(sg, &sg.roots, &mut lvl, 1, &mut SgParWs::new(n));
-            assert_eq!(full, lvl, "{}/SG{}: level_sync_roots_with", spec.name, sg.id);
-
-            for (l, &score) in lvl.iter().enumerate() {
-                composed[sg.globals[l] as usize] += score;
-            }
-        }
-        assert_close(&format!("{}/roots-composed", spec.name), &composed, &want);
     }
 }
 
@@ -223,11 +312,13 @@ fn root_par_kernel_is_bitwise_deterministic_on_workloads() {
         let g = spec.graph(Scale::Tiny);
         let d = decompose(&g, &PartitionOptions::default());
         for sg in &d.subgraphs {
-            let mut a = vec![0.0f64; sg.num_vertices()];
-            let mut b = vec![0.0f64; sg.num_vertices()];
-            bc_in_subgraph_root_par(sg, &mut a, 2);
-            bc_in_subgraph_root_par(sg, &mut b, 2);
-            assert_eq!(a, b, "{}/SG{}", spec.name, sg.id);
+            let run = || {
+                let mut local = vec![0.0f64; sg.num_vertices()];
+                let ws = &mut Workspace::new(1);
+                bc_in_subgraph(sg, &sg.roots, KernelChoice::RootParallel, 2, ws, &mut local, None);
+                local
+            };
+            assert_eq!(run(), run(), "{}/SG{}", spec.name, sg.id);
         }
     }
 }
