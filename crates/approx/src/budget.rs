@@ -35,11 +35,15 @@
 //! *allocation* changed (not just content-dirty ones), which is exactly
 //! what keeps the store equal to the oracle after weights shift.
 
-use apgre_bc::apgre::{run_kernels, ApgreOptions};
+use apgre_bc::apgre::{run_kernels, ApgreOptions, RootStats, SubgraphKernelRun};
 use apgre_decomp::Decomposition;
 
 use crate::rng::{mix_seed, sample_roots};
-use crate::sample::stats_of;
+
+/// The per-root statistics of a run dispatched with `stats` set.
+fn stats_of(run: &SubgraphKernelRun) -> &RootStats {
+    run.stats.as_ref().expect("run_kernels(.., true) fills stats on every run") // lint:allow(panic_path)
+}
 
 /// Default pilot sweep size (per-sub-graph roots used to estimate `σ_i`).
 pub const DEFAULT_PILOT: usize = 4;

@@ -8,19 +8,21 @@
 //! any per-sub-graph routine — and makes the result *incremental*: samples
 //! are generation-stable (seeded off each sub-graph's content
 //! fingerprint), so the [`SampleStore`] only resamples sub-graphs a
-//! mutation batch dirtied and carries everything else verbatim. A
+//! mutation batch dirtied and everything else stays verbatim in the span
+//! store's approx lanes. A
 //! variance-guided allocator ([`SampleBudget::Adaptive`], DESIGN.md §3.13)
 //! can replace the uniform per-sub-graph cap with a *global* root budget
 //! split proportionally to `|R_i|·σ_i`, surfacing per-vertex standard
 //! errors from the same accumulators.
 //!
 //! Layering: `graph`/`decomp`/`bc` below (kernels and decomposition),
-//! `store` for the slot-stable span store, `dynamic` above (drives the
-//! dirty set and owns [`SampleStore`] behind `DynamicBc::approx_snapshot`),
+//! `store` for the slot-stable span store whose `Estimate`/`StderrSq` lanes
+//! hold the spans, `dynamic` above (owns that store, drives the dirty set,
+//! and owns [`SampleStore`] behind `DynamicBc::approx_snapshot`),
 //! `serve` at the top (the `?approx=k` tier).
 //!
 //! Determinism contract: same seed + same decomposition ⇒
-//! [`SampleStore::refresh`] leaves estimates bitwise-identical to a
+//! [`SampleStore::refresh`] leaves the estimate lane bitwise-identical to a
 //! from-scratch [`bc_sampled_from_decomposition`] run, regardless of which
 //! sub-graphs were resampled along the way. `--features invariants`
 //! asserts this after every refresh.

@@ -22,23 +22,25 @@
 //! sub-graph's content fingerprint — and, in the adaptive regime, on pilot
 //! variances that are themselves content-pure — an estimate span never has
 //! to be recomputed unless the sub-graph itself changed or its *allocation*
-//! moved. [`SampleStore`] exploits that: it mirrors `FoldStore`'s
-//! slot-stable span design (indeed it *is* a `FoldStore` of scaled sample
-//! spans, plus a second `FoldStore` of squared-standard-error spans and
-//! sampling metadata), carries unaffected sub-graphs' spans across
-//! generations verbatim, and resamples only the dirty set — so refresh cost
-//! tracks the dirty set the way PR 8 made publish cost do.
+//! moved. [`SampleStore`] exploits that: it keeps only sampling metadata
+//! and the pending set, and writes the scaled sample spans and their
+//! squared standard errors into the [`Lane::Estimate`] and
+//! [`Lane::StderrSq`] lanes of the caller's [`FoldStore`] — the same
+//! slot-stable store, on the same layout, as the exact scores. Unaffected
+//! sub-graphs' spans carry across generations verbatim and only the dirty
+//! set is resampled, so refresh cost tracks the dirty set the way publish
+//! cost does.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use apgre_bc::apgre::{run_kernels, ApgreOptions, RootStats, SubgraphKernelRun};
+use apgre_bc::apgre::{run_kernels, ApgreOptions, SubgraphKernelRun};
 use apgre_decomp::{decompose, Decomposition, SubGraph};
 use apgre_graph::Graph;
-use apgre_store::FoldStore;
+use apgre_store::{FoldStore, Lane};
 
-use crate::budget::{plan_adaptive, stderr_sq_span, AdaptivePlan, DEFAULT_PILOT};
+use crate::budget::{plan_adaptive, stderr_sq_span, DEFAULT_PILOT};
 use crate::rng::{mix_seed, sample_roots};
 
 /// How the per-sub-graph root-sample sizes are chosen.
@@ -160,11 +162,6 @@ pub fn draw_roots(sg: &SubGraph, seed: u64, cap: usize) -> (Vec<u32>, f64) {
     (sample, total as f64 / k as f64)
 }
 
-/// The per-root statistics of a run dispatched with `stats` set.
-pub(crate) fn stats_of(run: &SubgraphKernelRun) -> &RootStats {
-    run.stats.as_ref().expect("run_kernels(.., true) fills stats on every run") // lint:allow(panic_path)
-}
-
 /// From-scratch composed estimator over an existing decomposition: plans
 /// the per-sub-graph sample sizes (fixed cap or adaptive allocation), runs
 /// the sampled kernels, scales, and folds ascending from zeros. This is the
@@ -190,45 +187,14 @@ pub fn bc_sampled_with_stderr_from_decomposition(
 ) -> (Vec<f64>, Vec<f64>) {
     let mut out = vec![0.0f64; decomp.num_vertices];
     let mut err_sq = vec![0.0f64; decomp.num_vertices];
-    match sopts.budget {
-        SampleBudget::Uniform { samples_per_subgraph } => {
-            let draws: Vec<(Vec<u32>, f64)> = decomp
-                .subgraphs
-                .iter()
-                .map(|sg| draw_roots(sg, sopts.seed, samples_per_subgraph))
-                .collect();
-            let jobs: Vec<(usize, &[u32])> =
-                draws.iter().enumerate().map(|(i, d)| (i, d.0.as_slice())).collect();
-            let runs = run_kernels(decomp, &jobs, opts, false);
-            for run in &runs {
-                let sg = &decomp.subgraphs[run.index];
-                let scale = draws[run.index].1;
-                for (local, &v) in sg.globals.iter().enumerate() {
-                    out[v as usize] += run.local[local] * scale;
-                }
-            }
-        }
-        SampleBudget::Adaptive { total_roots, pilot } => {
-            let cached = vec![None; decomp.num_subgraphs()];
-            let plan = plan_adaptive(decomp, opts, sopts.seed, total_roots, pilot, &cached);
-            let draws: Vec<(Vec<u32>, f64)> = decomp
-                .subgraphs
-                .iter()
-                .enumerate()
-                .map(|(i, sg)| draw_roots(sg, sopts.seed, plan.k[i]))
-                .collect();
-            let jobs: Vec<(usize, &[u32])> =
-                draws.iter().enumerate().map(|(i, d)| (i, d.0.as_slice())).collect();
-            let runs = run_kernels(decomp, &jobs, opts, true);
-            for run in &runs {
-                let sg = &decomp.subgraphs[run.index];
-                let scale = draws[run.index].1;
-                let st = stats_of(run);
-                let se = stderr_sq_span(&st.vertex_m2, st.roots, sg.roots.len());
-                for (local, &v) in sg.globals.iter().enumerate() {
-                    out[v as usize] += run.local[local] * scale;
-                    err_sq[v as usize] += se[local];
-                }
+    let (targets, _) = plan_targets(decomp, opts, sopts, &vec![None; decomp.num_subgraphs()]);
+    let all: Vec<usize> = (0..decomp.num_subgraphs()).collect();
+    for Sweep { run, scale, se, .. } in sweep(decomp, opts, sopts, &targets, &all) {
+        let sg = &decomp.subgraphs[run.index];
+        for (local, &v) in sg.globals.iter().enumerate() {
+            out[v as usize] += run.local[local] * scale;
+            if let Some(se) = &se {
+                err_sq[v as usize] += se[local];
             }
         }
     }
@@ -254,58 +220,122 @@ pub fn bc_sampled_with_stderr(
 }
 
 /// Per-sub-graph sampling metadata, aligned with the current sub-graph
-/// indexing. `fingerprint` is the content hash the span was drawn against;
-/// it keys the rebuild path's carry-forward. `sigma` caches the pilot
-/// standard deviation (content-pure, so it carries with the fingerprint)
-/// and `k` records the sample size the span was drawn at — a later
-/// allocation that disagrees with `k` forces a resample even when the
-/// content itself is clean.
+/// indexing. `sigma` caches the pilot standard deviation (content-pure, so
+/// it carries with the sub-graph) and `k` records the sample size the span
+/// was drawn at — a later allocation that disagrees with `k` forces a
+/// resample even when the content itself is clean. A clean sub-graph's
+/// drawn content is its current content, so no fingerprint is kept.
 #[derive(Clone, Debug)]
 struct SampleMeta {
-    fingerprint: u64,
     sigma: f64,
     k: usize,
 }
 
-/// The incremental estimator state: a slot-stable [`FoldStore`] of *scaled*
-/// sample spans, a parallel `FoldStore` of squared-standard-error spans,
-/// per-sub-graph sampling metadata, and the pending dirty set.
+/// Per-sub-graph sample targets under `sopts` — the uniform cap, or the
+/// adaptive plan, which re-pilots every sub-graph whose `cached` σ is
+/// `None` — plus the planning's accounting.
+fn plan_targets(
+    decomp: &Decomposition,
+    opts: &ApgreOptions,
+    sopts: &SampleOptions,
+    cached: &[Option<f64>],
+) -> (Vec<SampleMeta>, SampleRefresh) {
+    match sopts.budget {
+        SampleBudget::Uniform { samples_per_subgraph: k } => {
+            (vec![SampleMeta { sigma: 0.0, k }; decomp.num_subgraphs()], SampleRefresh::default())
+        }
+        SampleBudget::Adaptive { total_roots, pilot } => {
+            let plan = plan_adaptive(decomp, opts, sopts.seed, total_roots, pilot, cached);
+            let report = SampleRefresh {
+                pilot_roots: plan.pilot_roots,
+                edges: plan.pilot_edges,
+                budget: total_roots,
+                allocated: plan.allocated(),
+                ..SampleRefresh::default()
+            };
+            let targets = plan
+                .sigma
+                .iter()
+                .zip(&plan.k)
+                .map(|(&sigma, &k)| SampleMeta { sigma, k })
+                .collect();
+            (targets, report)
+        }
+    }
+}
+
+/// One sampled sub-graph sweep: the kernel run, the number of roots drawn,
+/// the `|R|/k` scale, and (adaptive mode only) the squared-standard-error
+/// span.
+struct Sweep {
+    run: SubgraphKernelRun,
+    drawn: usize,
+    scale: f64,
+    se: Option<Vec<f64>>,
+}
+
+/// Draws and sweeps sub-graphs `which` at their `targets` sizes, in
+/// ascending index order; adaptive mode also collects the per-root
+/// statistics behind the standard errors.
+fn sweep(
+    decomp: &Decomposition,
+    opts: &ApgreOptions,
+    sopts: &SampleOptions,
+    targets: &[SampleMeta],
+    which: &[usize],
+) -> Vec<Sweep> {
+    // Keyed by sub-graph index so a kernel-side reorder (or a future
+    // dropped-empty-job optimization) can never scale the wrong span.
+    let mut draws: HashMap<usize, (Vec<u32>, f64)> = HashMap::with_capacity(which.len());
+    for &i in which {
+        if let (Some(sg), Some(t)) = (decomp.subgraphs.get(i), targets.get(i)) {
+            draws.insert(i, draw_roots(sg, sopts.seed, t.k));
+        }
+    }
+    let jobs: Vec<(usize, &[u32])> =
+        which.iter().filter_map(|&i| Some((i, draws.get(&i)?.0.as_slice()))).collect();
+    let runs = run_kernels(decomp, &jobs, opts, sopts.is_adaptive());
+    assert_eq!(runs.len(), which.len(), "one kernel run per sampled sub-graph");
+    let mut out = Vec::with_capacity(runs.len());
+    for run in runs {
+        let (roots, scale) = draws
+            .remove(&run.index)
+            .expect("kernel returned a run for a sub-graph that was never dispatched");
+        let total = decomp.subgraphs.get(run.index).map_or(0, |sg| sg.roots.len());
+        let se = run.stats.as_ref().map(|st| stderr_sq_span(&st.vertex_m2, st.roots, total));
+        out.push(Sweep { run, drawn: roots.len(), scale, se });
+    }
+    out
+}
+
+/// The incremental estimator's bookkeeping: per-sub-graph sampling
+/// metadata, the pending dirty set, and the parameters the live spans were
+/// drawn with. The spans themselves live in the [`Lane::Estimate`] and
+/// [`Lane::StderrSq`] lanes of the caller's [`FoldStore`], which shares its
+/// slot layout with the exact scores.
 ///
 /// Lifecycle (driven by `DynamicBc`): [`SampleStore::seed`] over the
-/// initial decomposition (everything pending), then per batch either
-/// [`SampleStore::apply_splice`] + [`SampleStore::mark_dirty`] (absorbed
-/// batches) or [`SampleStore::rebuild`] (from-scratch re-decompositions,
-/// with fingerprint-keyed span carry), and finally
+/// initial decomposition (everything pending), then per batch
+/// [`SampleStore::apply_splice`] (after the store's splice or fingerprint
+/// carry) + [`SampleStore::mark_dirty`], and finally
 /// [`SampleStore::refresh`] when estimates are demanded — resampling the
 /// accumulated dirty set (plus, in adaptive mode, any span whose budget
 /// allocation moved).
 #[derive(Debug, Default)]
 pub struct SampleStore {
-    fold: FoldStore,
-    /// Squared-standard-error spans, maintained in lockstep with `fold`
-    /// (same slots, same splices). All-zero in uniform mode and for
-    /// exhaustive spans.
-    err: FoldStore,
     meta: Vec<Option<SampleMeta>>,
     pending: BTreeSet<usize>,
-    num_vertices: usize,
     /// Parameters the live spans were drawn with; a refresh under different
     /// parameters invalidates everything.
     params: Option<SampleOptions>,
 }
 
 impl SampleStore {
-    /// Seeds the store over `decomp`: zeroed placeholder spans, every
-    /// sub-graph pending.
+    /// Seeds the bookkeeping over `decomp`: no spans, every sub-graph
+    /// pending.
     pub fn seed(decomp: &Decomposition) -> Self {
-        let mut store = SampleStore::default();
-        store.rebuild(decomp);
-        store
-    }
-
-    /// Number of sub-graphs currently tracked.
-    pub fn num_subgraphs(&self) -> usize {
-        self.meta.len()
+        let count = decomp.num_subgraphs();
+        SampleStore { meta: vec![None; count], pending: (0..count).collect(), params: None }
     }
 
     /// Sub-graphs awaiting a resample.
@@ -313,39 +343,27 @@ impl SampleStore {
         self.pending.len()
     }
 
-    /// Mirrors a structural splice of the decomposition (same `old_to_new`
-    /// contract as `FoldStore::apply_splice`; `decomp` is the post-splice
-    /// decomposition). Survivor spans and metadata carry over; fresh
-    /// sub-graphs join the pending set with zeroed placeholders.
-    pub fn apply_splice(
-        &mut self,
-        num_vertices: usize,
-        old_to_new: &[Option<u32>],
-        decomp: &Decomposition,
-    ) {
-        let new_globals: Vec<&[u32]> =
-            decomp.subgraphs.iter().map(|sg| sg.globals.as_slice()).collect();
-        self.fold.apply_splice(num_vertices, old_to_new, &new_globals);
-        self.err.apply_splice(num_vertices, old_to_new, &new_globals);
-        let count = decomp.num_subgraphs();
+    /// Remaps the metadata through a re-indexing of the sub-graphs — a
+    /// structural splice or the rebuild path's fingerprint carry, with the
+    /// same `old_to_new` contract as `FoldStore::apply_splice` — that
+    /// `fold` has already applied. Sub-graphs without a clean source join
+    /// the pending set; a pending source's approx lanes describe content
+    /// the sub-graph no longer has, so they are cleared rather than
+    /// carried.
+    pub fn apply_splice(&mut self, old_to_new: &[Option<u32>], fold: &mut FoldStore) {
+        let count = fold.num_subgraphs();
         let mut meta: Vec<Option<SampleMeta>> = vec![None; count];
-        let mut pending = BTreeSet::new();
-        for (old, &dst) in old_to_new.iter().enumerate() {
-            if let Some(n) = dst {
-                meta[n as usize] = self.meta[old].take();
-                if self.pending.contains(&old) {
-                    pending.insert(n as usize);
-                }
+        for (old, (&dst, m)) in old_to_new.iter().zip(&mut self.meta).enumerate() {
+            let Some(n) = dst.map(|n| n as usize) else { continue };
+            if self.pending.contains(&old) {
+                fold.clear_values(Lane::Estimate, n);
+                fold.clear_values(Lane::StderrSq, n);
+            } else if let Some(slot) = meta.get_mut(n) {
+                *slot = m.take();
             }
         }
-        for (i, m) in meta.iter().enumerate() {
-            if m.is_none() {
-                pending.insert(i);
-            }
-        }
+        self.pending = (0..count).filter(|&i| meta.get(i).is_some_and(Option::is_none)).collect();
         self.meta = meta;
-        self.pending = pending;
-        self.num_vertices = num_vertices;
     }
 
     /// Marks sub-graphs (current indexing) whose content changed in place.
@@ -353,66 +371,17 @@ impl SampleStore {
         self.pending.extend(dirty.iter().copied());
     }
 
-    /// Replaces the store after a from-scratch re-decomposition, carrying
-    /// spans whose sub-graph content fingerprint reappears (same
-    /// fingerprint ⇒ same seed ⇒ same sample ⇒ same span, so the carry is
-    /// bitwise-equivalent to resampling). Misses join the pending set.
-    ///
-    /// A fingerprint collision between sub-graphs of different sizes would
-    /// otherwise install a wrong-length span, so the length check is
-    /// unconditional (not a `debug_assert!`): a mismatched candidate is
-    /// treated as a carry miss and the slot falls back to the pending set.
-    pub fn rebuild(&mut self, decomp: &Decomposition) {
-        let spans = self.fold.values_in_order();
-        let errs = self.err.values_in_order();
-        let mut carry: HashMap<u64, Vec<(Arc<[f64]>, Arc<[f64]>, SampleMeta)>> = HashMap::new();
-        for ((m, span), err) in self.meta.iter().zip(spans).zip(errs) {
-            if let Some(meta) = m {
-                carry.entry(meta.fingerprint).or_default().push((span, err, meta.clone()));
-            }
-        }
-        let count = decomp.num_subgraphs();
-        let mut meta = Vec::with_capacity(count);
-        let mut pending = BTreeSet::new();
-        let mut pairs: Vec<(Arc<[u32]>, Arc<[f64]>)> = Vec::with_capacity(count);
-        let mut err_pairs: Vec<(Arc<[u32]>, Arc<[f64]>)> = Vec::with_capacity(count);
-        for (i, sg) in decomp.subgraphs.iter().enumerate() {
-            let fp = sg.fingerprint();
-            let globals: Arc<[u32]> = Arc::from(sg.globals.as_slice());
-            let candidate = carry
-                .get_mut(&fp)
-                .and_then(|v| v.pop())
-                .filter(|(span, _, _)| span.len() == sg.num_vertices());
-            match candidate {
-                Some((span, err, m)) => {
-                    pairs.push((Arc::clone(&globals), span));
-                    err_pairs.push((globals, err));
-                    meta.push(Some(m));
-                }
-                None => {
-                    pairs.push((Arc::clone(&globals), Arc::from(vec![0.0f64; sg.num_vertices()])));
-                    err_pairs.push((globals, Arc::from(vec![0.0f64; sg.num_vertices()])));
-                    meta.push(None);
-                    pending.insert(i);
-                }
-            }
-        }
-        self.fold.rebuild(decomp.num_vertices, pairs);
-        self.err.rebuild(decomp.num_vertices, err_pairs);
-        self.meta = meta;
-        self.pending = pending;
-        self.num_vertices = decomp.num_vertices;
-    }
-
     /// Resamples the pending sub-graphs — plus, in adaptive mode, any span
     /// whose budget allocation moved (and *all* of them when the sampling
-    /// parameters changed since the last refresh) — and clears the pending
-    /// set. After a refresh, [`SampleStore::estimates`] is
+    /// parameters changed since the last refresh) — into the
+    /// [`Lane::Estimate`] and [`Lane::StderrSq`] lanes of `fold`, and
+    /// clears the pending set. After a refresh the estimate lane is
     /// bitwise-identical to [`bc_sampled_from_decomposition`] over the same
     /// decomposition and parameters — the determinism contract, asserted
     /// here under `--features invariants`.
     pub fn refresh(
         &mut self,
+        fold: &mut FoldStore,
         decomp: &Decomposition,
         opts: &ApgreOptions,
         sopts: &SampleOptions,
@@ -423,183 +392,53 @@ impl SampleStore {
             self.pending.extend(0..self.meta.len());
             self.params = Some(sopts.clone());
         }
-        let mut report = match sopts.budget {
-            SampleBudget::Uniform { samples_per_subgraph } => {
-                self.refresh_uniform(decomp, opts, sopts.seed, samples_per_subgraph)
-            }
-            SampleBudget::Adaptive { total_roots, pilot } => {
-                self.refresh_adaptive(decomp, opts, sopts.seed, total_roots, pilot)
-            }
-        };
-        self.pending.clear();
-        report.wall = t.elapsed();
-        #[cfg(feature = "invariants")]
-        self.verify_against_scratch(decomp, opts, sopts)
-            .expect("incremental sampled estimates diverged from the from-scratch oracle");
-        report
-    }
-
-    /// The uniform-cap refresh: resamples exactly the pending set.
-    fn refresh_uniform(
-        &mut self,
-        decomp: &Decomposition,
-        opts: &ApgreOptions,
-        seed: u64,
-        cap: usize,
-    ) -> SampleRefresh {
-        let dirty: Vec<usize> = self.pending.iter().copied().collect();
-        // Keyed by sub-graph index so a kernel-side reorder (or a future
-        // dropped-empty-job optimization) can never scale the wrong span.
-        let mut draws: HashMap<usize, (u64, Vec<u32>, f64)> = HashMap::with_capacity(dirty.len());
-        for &i in &dirty {
-            let sg = &decomp.subgraphs[i];
-            let (roots, scale) = draw_roots(sg, seed, cap);
-            draws.insert(i, (sg.fingerprint(), roots, scale));
-        }
-        let jobs: Vec<(usize, &[u32])> =
-            dirty.iter().map(|&i| (i, draws[&i].1.as_slice())).collect();
-        let runs = run_kernels(decomp, &jobs, opts, false);
-        assert_eq!(runs.len(), dirty.len(), "one kernel run per dirty sub-graph");
-        let mut report = SampleRefresh {
-            resampled: dirty.len(),
-            reused: self.meta.len() - dirty.len(),
-            ..SampleRefresh::default()
-        };
-        for run in runs {
-            let (fp, roots, scale) = draws
-                .remove(&run.index)
-                .expect("kernel returned a run for a sub-graph that was never dispatched");
-            let n = run.local.len();
-            let span: Vec<f64> = run.local.iter().map(|&x| x * scale).collect();
-            self.fold.set_values(run.index, Arc::from(span));
-            // The uniform estimator carries no error accumulators; its err
-            // spans are pinned to zero (this also scrubs stale spans after
-            // an adaptive → uniform parameter switch).
-            self.err.set_values(run.index, Arc::from(vec![0.0f64; n]));
-            self.meta[run.index] = Some(SampleMeta { fingerprint: fp, sigma: 0.0, k: roots.len() });
-            report.sampled_roots += roots.len() as u64;
-            report.edges += run.edges;
-        }
-        report
-    }
-
-    /// The adaptive refresh: pilots the content-dirty sub-graphs, re-plans
-    /// the global allocation, and resamples the union of the pending set
-    /// and the spans whose allocated `k` moved.
-    fn refresh_adaptive(
-        &mut self,
-        decomp: &Decomposition,
-        opts: &ApgreOptions,
-        seed: u64,
-        total_roots: usize,
-        pilot: usize,
-    ) -> SampleRefresh {
         let count = self.meta.len();
         // σ is content-pure, so clean sub-graphs reuse their cached value;
         // pending ones re-pilot (their content — or existence — changed).
         let cached: Vec<Option<f64>> = (0..count)
-            .map(|i| {
-                if self.pending.contains(&i) {
-                    None
-                } else {
-                    self.meta[i].as_ref().map(|m| m.sigma)
-                }
-            })
+            .map(|i| self.meta[i].as_ref().filter(|_| !self.pending.contains(&i)).map(|m| m.sigma))
             .collect();
-        let plan: AdaptivePlan = plan_adaptive(decomp, opts, seed, total_roots, pilot, &cached);
+        let (targets, mut report) = plan_targets(decomp, opts, sopts, &cached);
+        // The pending set, plus (adaptive mode) every span whose allocated
+        // `k` moved.
         let resample: Vec<usize> = (0..count)
             .filter(|&i| {
                 self.pending.contains(&i)
-                    || match &self.meta[i] {
-                        Some(m) => m.k != plan.k[i],
-                        None => true,
-                    }
+                    || self.meta[i].as_ref().map(|m| m.k) != targets.get(i).map(|t| t.k)
             })
             .collect();
-        let mut draws: HashMap<usize, (u64, Vec<u32>, f64)> =
-            HashMap::with_capacity(resample.len());
-        for &i in &resample {
-            let sg = &decomp.subgraphs[i];
-            let (roots, scale) = draw_roots(sg, seed, plan.k[i]);
-            draws.insert(i, (sg.fingerprint(), roots, scale));
-        }
-        let jobs: Vec<(usize, &[u32])> =
-            resample.iter().map(|&i| (i, draws[&i].1.as_slice())).collect();
-        let runs = run_kernels(decomp, &jobs, opts, true);
-        assert_eq!(runs.len(), resample.len(), "one kernel run per resampled sub-graph");
-        let mut report = SampleRefresh {
-            resampled: resample.len(),
-            reused: count - resample.len(),
-            pilot_roots: plan.pilot_roots,
-            edges: plan.pilot_edges,
-            budget: total_roots,
-            allocated: plan.allocated(),
-            ..SampleRefresh::default()
-        };
-        for run in runs {
-            let (fp, roots, scale) = draws
-                .remove(&run.index)
-                .expect("kernel returned a run for a sub-graph that was never dispatched");
-            let sg = &decomp.subgraphs[run.index];
+        report.resampled = resample.len();
+        report.reused = count - resample.len();
+        for Sweep { run, drawn, scale, se } in sweep(decomp, opts, sopts, &targets, &resample) {
+            let i = run.index;
             let span: Vec<f64> = run.local.iter().map(|&x| x * scale).collect();
-            let st = stats_of(&run);
-            let se = stderr_sq_span(&st.vertex_m2, st.roots, sg.roots.len());
-            self.fold.set_values(run.index, Arc::from(span));
-            self.err.set_values(run.index, Arc::from(se));
-            self.meta[run.index] = Some(SampleMeta {
-                fingerprint: fp,
-                sigma: plan.sigma[run.index],
-                k: plan.k[run.index],
-            });
-            report.sampled_roots += roots.len() as u64;
+            fold.set_values(Lane::Estimate, i, Arc::from(span));
+            // The uniform estimator carries no error accumulators; an unset
+            // stderr span folds as zero (this also scrubs stale spans after
+            // an adaptive → uniform parameter switch).
+            match se {
+                Some(se) => fold.set_values(Lane::StderrSq, i, Arc::from(se)),
+                None => fold.clear_values(Lane::StderrSq, i),
+            }
+            self.meta[i] = targets.get(i).cloned();
+            report.sampled_roots += drawn as u64;
             report.edges += run.edges;
         }
+        self.pending.clear();
+        report.wall = t.elapsed();
+        #[cfg(feature = "invariants")]
+        self.verify_against_scratch(fold, decomp, opts, sopts)
+            .expect("incremental sampled estimates diverged from the from-scratch oracle");
         report
     }
 
-    /// The flat estimate vector (ascending-index fold from zeros).
-    /// Meaningful once the pending set is empty — call
-    /// [`SampleStore::refresh`] first.
-    pub fn estimates(&self) -> Vec<f64> {
-        self.fold.to_flat()
-    }
-
-    /// One vertex's estimate (same fold order as [`SampleStore::estimates`]).
-    pub fn estimate(&self, v: u32) -> f64 {
-        self.fold.fold_vertex(v)
-    }
-
-    /// One vertex's standard error: the square root of the ascending-index
-    /// fold of its squared-standard-error contributions. Zero in uniform
-    /// mode and wherever every owning span is exhaustive.
-    pub fn stderr(&self, v: u32) -> f64 {
-        self.err.fold_vertex(v).sqrt()
-    }
-
-    /// The largest per-vertex standard error currently stored (0 when the
-    /// store is empty or uniform).
-    pub fn stderr_max(&self) -> f64 {
-        self.err.to_flat().into_iter().fold(0.0f64, f64::max).sqrt()
-    }
-
-    /// An immutable snapshot of the estimate spans (O(sub-graphs) `Arc`
-    /// clones), for publication next to the exact `ScoreChunks`.
-    pub fn chunks(&self) -> apgre_store::ScoreChunks {
-        self.fold.chunks()
-    }
-
-    /// An immutable snapshot of the squared-standard-error spans; fold a
-    /// vertex and take the square root to recover its standard error.
-    pub fn stderr_chunks(&self) -> apgre_store::ScoreChunks {
-        self.err.chunks()
-    }
-
-    /// Bitwise cross-check against
+    /// Bitwise cross-check of `fold`'s approx lanes against
     /// [`bc_sampled_with_stderr_from_decomposition`] — estimates *and*
-    /// standard errors. Errors when the store still has pending sub-graphs
-    /// or anything diverges.
+    /// standard errors. Errors when sub-graphs are still pending or
+    /// anything diverges.
     pub fn verify_against_scratch(
         &self,
+        fold: &FoldStore,
         decomp: &Decomposition,
         opts: &ApgreOptions,
         sopts: &SampleOptions,
@@ -608,7 +447,7 @@ impl SampleStore {
             return Err(format!("{} sub-graphs still pending", self.pending.len()));
         }
         let (want, want_err) = bc_sampled_with_stderr_from_decomposition(decomp, opts, sopts);
-        let got = self.estimates();
+        let got = fold.to_flat(Lane::Estimate);
         if got.len() != want.len() {
             return Err(format!("length mismatch: {} vs {}", got.len(), want.len()));
         }
@@ -618,7 +457,7 @@ impl SampleStore {
             }
         }
         for (v, w) in want_err.iter().enumerate() {
-            let g = self.stderr(v as u32);
+            let g = fold.fold_vertex(Lane::StderrSq, v as u32).sqrt();
             if g.to_bits() != w.to_bits() {
                 return Err(format!("stderr diverged at vertex {v}: {g} vs {w}"));
             }
@@ -631,6 +470,29 @@ impl SampleStore {
 mod tests {
     use super::*;
     use apgre_graph::generators;
+    use apgre_store::carry_by_fingerprint;
+
+    /// A fold store laid out over `decomp`, every lane unset.
+    fn layout(decomp: &Decomposition) -> FoldStore {
+        FoldStore::new(decomp.num_vertices, decomp.subgraphs.iter().map(|sg| &sg.globals[..]))
+    }
+
+    fn keys(decomp: &Decomposition) -> Vec<(u64, usize)> {
+        decomp.subgraphs.iter().map(|sg| (sg.fingerprint(), sg.num_vertices())).collect()
+    }
+
+    /// Re-lays `fold` out over `decomp` through `carry` and remaps `store`
+    /// the same way — the engine's rebuild path.
+    fn rebuild(
+        store: &mut SampleStore,
+        fold: &mut FoldStore,
+        decomp: &Decomposition,
+        carry: &[Option<u32>],
+    ) {
+        let globals = decomp.subgraphs.iter().map(|sg| &sg.globals[..]);
+        let old_to_new = fold.rebuild(decomp.num_vertices, globals, carry);
+        store.apply_splice(&old_to_new, fold);
+    }
 
     /// Two structurally different graphs whose decompositions yield
     /// sub-graphs of different sizes; the test forges a fingerprint match
@@ -642,36 +504,46 @@ mod tests {
         // Seed + refresh a store over a lollipop: clique sub-graph + path.
         let a = generators::lollipop(6, 8);
         let da = decompose(&a, &opts.partition);
+        let mut fold = layout(&da);
         let mut store = SampleStore::seed(&da);
-        store.refresh(&da, &opts, &sopts);
+        store.refresh(&mut fold, &da, &opts, &sopts);
         assert_eq!(store.pending_len(), 0);
 
         // A different graph whose sub-graphs have different vertex counts.
         let b = generators::lollipop(9, 3);
         let db = decompose(&b, &opts.partition);
-        // Forge: overwrite every carried fingerprint with the new
-        // decomposition's fingerprints, misaligned with the span sizes.
-        let forged: Vec<u64> = db.subgraphs.iter().map(|sg| sg.fingerprint()).collect();
-        for (slot, m) in store.meta.iter_mut().enumerate() {
-            if let Some(meta) = m.as_mut() {
-                meta.fingerprint = forged[slot % forged.len()];
+        // Forge: give every old sub-graph one of the new decomposition's
+        // fingerprints, misaligned with the span sizes.
+        let new_keys = keys(&db);
+        let forged: Vec<(u64, usize)> = keys(&da)
+            .iter()
+            .enumerate()
+            .map(|(slot, &(_, len))| (new_keys[slot % new_keys.len()].0, len))
+            .collect();
+        let carry = carry_by_fingerprint(&forged, &new_keys);
+        let collides = |k: &(u64, usize)| forged.iter().any(|f| f.0 == k.0 && f.1 != k.1);
+        assert!(new_keys.iter().any(collides), "the forgery must produce a wrong-length collision");
+        rebuild(&mut store, &mut fold, &db, &carry);
+        // Every sub-graph whose forged carry candidate had the wrong length
+        // must have missed the carry instead of installing it.
+        for (i, sg) in db.subgraphs.iter().enumerate() {
+            if let Some(old) = carry[i] {
+                assert_eq!(da.subgraphs[old as usize].num_vertices(), sg.num_vertices());
+            }
+            for lane in Lane::ALL {
+                if let Some(span) = fold.values_of(lane, i) {
+                    assert_eq!(
+                        span.len(),
+                        sg.num_vertices(),
+                        "sub-graph {i} {lane:?}: collision carry installed a wrong-length span"
+                    );
+                }
             }
         }
-        store.rebuild(&db);
-        // Every slot whose forged carry candidate had the wrong length must
-        // have fallen back to the pending set instead of installing it.
-        for (i, sg) in db.subgraphs.iter().enumerate() {
-            let span = store.fold.values_of(i);
-            assert_eq!(
-                span.len(),
-                sg.num_vertices(),
-                "sub-graph {i}: collision carry installed a wrong-length span"
-            );
-        }
         // And a refresh lands back on the oracle.
-        let r = store.refresh(&db, &opts, &sopts);
+        let r = store.refresh(&mut fold, &db, &opts, &sopts);
         assert!(r.resampled > 0);
-        store.verify_against_scratch(&db, &opts, &sopts).unwrap();
+        store.verify_against_scratch(&fold, &db, &opts, &sopts).unwrap();
     }
 
     /// Same-length collisions are indistinguishable from true carries by
@@ -683,10 +555,13 @@ mod tests {
         let sopts = SampleOptions::uniform(3, 7);
         let g = generators::lollipop(7, 5);
         let d = decompose(&g, &opts.partition);
+        let mut fold = layout(&d);
         let mut store = SampleStore::seed(&d);
-        store.refresh(&d, &opts, &sopts);
-        store.rebuild(&d);
+        store.refresh(&mut fold, &d, &opts, &sopts);
+        let carry = carry_by_fingerprint(&keys(&d), &keys(&d));
+        assert!(carry.iter().all(Option::is_some), "identical keys must all carry");
+        rebuild(&mut store, &mut fold, &d, &carry);
         assert_eq!(store.pending_len(), 0, "identical rebuild must carry every span");
-        store.verify_against_scratch(&d, &opts, &sopts).unwrap();
+        store.verify_against_scratch(&fold, &d, &opts, &sopts).unwrap();
     }
 }

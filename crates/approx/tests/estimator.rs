@@ -11,9 +11,16 @@ use apgre_approx::{
 use apgre_bc::apgre::ApgreOptions;
 use apgre_bc::bc_apgre_with;
 use apgre_bc::brandes::bc_serial;
-use apgre_decomp::decompose;
+use apgre_decomp::{decompose, Decomposition};
 use apgre_graph::Graph;
+use apgre_store::{FoldStore, Lane};
 use apgre_workloads::{registry, Scale};
+
+/// A fold store laid out over `decomp`, every lane unset: the span store
+/// a standalone `SampleStore` refreshes into.
+fn layout(decomp: &Decomposition) -> FoldStore {
+    FoldStore::new(decomp.num_vertices, decomp.subgraphs.iter().map(|sg| &sg.globals[..]))
+}
 
 /// Normalized L1 error: Σ|est − exact| / Σ exact (0 when the graph has no
 /// betweenness mass at all).
@@ -103,12 +110,13 @@ fn sample_store_refresh_matches_scratch_oracle_bitwise() {
         let decomp = decompose(&g, &opts.partition);
         let want = bc_sampled_from_decomposition(&decomp, &opts, &sopts);
 
+        let mut fold = layout(&decomp);
         let mut store = SampleStore::seed(&decomp);
         assert_eq!(store.pending_len(), decomp.num_subgraphs(), "{}", spec.name);
-        let first = store.refresh(&decomp, &opts, &sopts);
+        let first = store.refresh(&mut fold, &decomp, &opts, &sopts);
         assert_eq!(first.resampled, decomp.num_subgraphs(), "{}", spec.name);
         assert_eq!(first.reused, 0, "{}", spec.name);
-        let got = store.estimates();
+        let got = fold.to_flat(Lane::Estimate);
         assert_eq!(got.len(), want.len(), "{}", spec.name);
         for v in 0..want.len() {
             assert!(
@@ -121,16 +129,17 @@ fn sample_store_refresh_matches_scratch_oracle_bitwise() {
         // Partial re-dirtying: only the marked slot is resampled, and since
         // the content is unchanged the resample reproduces the same span.
         store.mark_dirty(&[0]);
-        let second = store.refresh(&decomp, &opts, &sopts);
+        let second = store.refresh(&mut fold, &decomp, &opts, &sopts);
         assert_eq!(second.resampled, 1, "{}", spec.name);
         assert_eq!(second.reused, decomp.num_subgraphs() - 1, "{}", spec.name);
         assert!((second.resample_fraction() - 1.0 / decomp.num_subgraphs() as f64).abs() < 1e-12);
         store
-            .verify_against_scratch(&decomp, &opts, &sopts)
+            .verify_against_scratch(&fold, &decomp, &opts, &sopts)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         // Per-vertex accessor folds the same bits as the flat vector.
         for v in 0..want.len() {
-            assert_eq!(store.estimate(v as u32).to_bits(), want[v].to_bits(), "{}", spec.name);
+            let one = fold.fold_vertex(Lane::Estimate, v as u32);
+            assert_eq!(one.to_bits(), want[v].to_bits(), "{}", spec.name);
         }
     }
 }
@@ -150,28 +159,29 @@ fn adaptive_store_refresh_matches_scratch_oracle_bitwise() {
         let budget = 6 + 13 * j;
         let sopts = SampleOptions::adaptive(budget, 0xADA7);
 
+        let mut fold = layout(&decomp);
         let mut store = SampleStore::seed(&decomp);
-        let first = store.refresh(&decomp, &opts, &sopts);
+        let first = store.refresh(&mut fold, &decomp, &opts, &sopts);
         assert_eq!(first.resampled, decomp.num_subgraphs(), "{}", spec.name);
         assert_eq!(first.budget, budget, "{}", spec.name);
         assert!(first.allocated > 0, "{}", spec.name);
         store
-            .verify_against_scratch(&decomp, &opts, &sopts)
+            .verify_against_scratch(&fold, &decomp, &opts, &sopts)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
 
         // Re-dirty one sub-graph: its σ is re-piloted, the global plan is
         // recomputed, and whatever the plan moved gets resampled — the
         // store must still land on the oracle's exact bits.
         store.mark_dirty(&[0]);
-        let second = store.refresh(&decomp, &opts, &sopts);
+        let second = store.refresh(&mut fold, &decomp, &opts, &sopts);
         assert!(second.resampled >= 1, "{}", spec.name);
         store
-            .verify_against_scratch(&decomp, &opts, &sopts)
+            .verify_against_scratch(&fold, &decomp, &opts, &sopts)
             .unwrap_or_else(|e| panic!("{}: after mark_dirty: {e}", spec.name));
 
         // Clean repeat refresh: content and allocation are unchanged, so
         // nothing is resampled at all.
-        let third = store.refresh(&decomp, &opts, &sopts);
+        let third = store.refresh(&mut fold, &decomp, &opts, &sopts);
         assert_eq!(third.resampled, 0, "{}: clean refresh resampled spans", spec.name);
         assert_eq!(third.pilot_roots, 0, "{}: clean refresh re-piloted", spec.name);
     }
@@ -213,12 +223,13 @@ fn adaptive_plan_drives_the_store_and_matches_the_oracle() {
             assert!(k <= caps[i], "{}: allocation over |R| at sub-graph {i}", spec.name);
         }
 
+        let mut fold = layout(&decomp);
         let mut store = SampleStore::seed(&decomp);
-        let refresh = store.refresh(&decomp, &opts, &sopts);
+        let refresh = store.refresh(&mut fold, &decomp, &opts, &sopts);
         assert_eq!(refresh.allocated, plan.allocated(), "{}", spec.name);
         assert_eq!(refresh.budget, budget, "{}", spec.name);
         store
-            .verify_against_scratch(&decomp, &opts, &sopts)
+            .verify_against_scratch(&fold, &decomp, &opts, &sopts)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
     }
 }
@@ -293,12 +304,13 @@ fn parameter_change_invalidates_all_spans() {
     let decomp = decompose(&g, &opts.partition);
     let a = SampleOptions::uniform(3, 1);
     let b = SampleOptions::uniform(5, 2);
+    let mut fold = layout(&decomp);
     let mut store = SampleStore::seed(&decomp);
-    store.refresh(&decomp, &opts, &a);
-    let r = store.refresh(&decomp, &opts, &b);
+    store.refresh(&mut fold, &decomp, &opts, &a);
+    let r = store.refresh(&mut fold, &decomp, &opts, &b);
     assert_eq!(r.resampled, decomp.num_subgraphs(), "parameter change must resample all");
     let want = bc_sampled_from_decomposition(&decomp, &opts, &b);
-    let got = store.estimates();
+    let got = fold.to_flat(Lane::Estimate);
     for v in 0..want.len() {
         assert_eq!(got[v].to_bits(), want[v].to_bits(), "vertex {v}");
     }

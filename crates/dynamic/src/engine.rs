@@ -2,7 +2,6 @@
 //! decomposition, dirty-sub-graph recompute, and exact contribution
 //! maintenance.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -11,7 +10,9 @@ use apgre_bc::apgre::ApgreReport;
 use apgre_bc::{run_kernels, ApgreOptions};
 use apgre_decomp::{decompose, Decomposition, EdgeEdit, MaintainedDecomposition};
 use apgre_graph::{Graph, GraphOverlay};
-use apgre_store::{CowGraph, FoldStore, GraphView, PublishStats, ScoreChunks};
+use apgre_store::{
+    carry_by_fingerprint, CowGraph, FoldStore, GraphView, Lane, PublishStats, ScoreChunks,
+};
 
 use crate::mutation::{Mutation, MutationBatch};
 
@@ -100,11 +101,12 @@ impl DynamicReport {
 ///
 /// Holds a mutable [`GraphOverlay`], a [`MaintainedDecomposition`] (the
 /// block store that lets edge edits re-decompose only the affected region),
-/// one local score vector per sub-graph (a slot-stable [`FoldStore`]), and
-/// the folded global score vector. After every [`apply`](DynamicBc::apply)
-/// the scores equal what a from-scratch APGRE run would produce on the
-/// current graph (to 1e-9 relative; bitwise for the forced-`Seq` kernel
-/// against the engine's own decomposition).
+/// one slot-stable [`FoldStore`] with one span per sub-graph in each lane
+/// (exact contributions, and the sampled estimator's estimates and squared
+/// standard errors), and the folded global score vector. After every
+/// [`apply`](DynamicBc::apply) the scores equal what a from-scratch APGRE
+/// run would produce on the current graph (to 1e-9 relative; bitwise for
+/// the forced-`Seq` kernel against the engine's own decomposition).
 ///
 /// Every undirected batch — including vertex additions and removals, which
 /// lower to edge edits — goes through the maintainer: edits interior to one
@@ -115,16 +117,16 @@ impl DynamicReport {
 /// index** — no fingerprint scan. The from-scratch rebuild remains only as
 /// a fallback (directed graphs, batches the maintainer declines, and the
 /// [`set_force_rebuild`](DynamicBc::set_force_rebuild) escape hatch), where
-/// carry-forward falls back to fingerprint matching.
+/// carry-forward falls back to one fingerprint match that moves every lane.
 ///
 /// The global vector is always folded **from zeros in ascending sub-graph
 /// index order** rather than patched by subtract-then-add, so stored and
 /// folded contributions stay exactly consistent: the fold order matches the
-/// batch driver's reorder-buffer merge, and no floating-point cancellation
-/// error can accumulate across batches. After a maintained batch only the
-/// vertices whose owning sub-graphs changed are refolded — bitwise safe
-/// because every other vertex's fold input sequence is unchanged (splices
-/// preserve survivors' relative order and spans).
+/// ascending-index fold in `bc_from_decomposition`, and no floating-point
+/// cancellation error can accumulate across batches. After a maintained
+/// batch only the vertices whose owning sub-graphs changed are refolded —
+/// bitwise safe because every other vertex's fold input sequence is
+/// unchanged (splices preserve survivors' relative order and spans).
 ///
 /// Publishing is copy-on-write: the engine mirrors every effective edit
 /// into a chunked [`CowGraph`] and keeps contributions as `Arc` spans in
@@ -138,8 +140,9 @@ pub struct DynamicBc {
     /// Chunked copy-on-write mirror of the overlay, fed the same effective
     /// edits; snapshots share every chunk a batch did not touch.
     cow: CowGraph,
-    /// One contribution span per sub-graph, same indexing as
-    /// `decomposition().subgraphs`; `scores` is their Equation-8 fold.
+    /// One span per sub-graph per lane, same indexing as
+    /// `decomposition().subgraphs`; `scores` is the Equation-8 fold of the
+    /// [`Lane::Exact`] lane. The sampled estimator writes the other lanes.
     fold: FoldStore,
     scores: Vec<f64>,
     /// When set, every batch takes the from-scratch rebuild path (the
@@ -152,9 +155,10 @@ pub struct DynamicBc {
     /// The report of the most recent [`DynamicBc::apply`] call.
     last_batch: Option<DynamicReport>,
     /// The incremental sampled estimator, when enabled
-    /// ([`DynamicBc::enable_approx`]). The engine mirrors every splice and
-    /// dirty set into it per batch (cheap bookkeeping, no kernels);
-    /// resampling is deferred to [`DynamicBc::approx_snapshot`].
+    /// ([`DynamicBc::enable_approx`]). The engine mirrors every splice,
+    /// carry and dirty set into its metadata per batch (cheap bookkeeping,
+    /// no kernels); resampling into the fold store's approx lanes is
+    /// deferred to [`DynamicBc::approx_snapshot`].
     approx: Option<ApproxState>,
 }
 
@@ -184,17 +188,11 @@ impl DynamicBc {
         let runs = run_kernels(decomp, &jobs, &opts, false);
         let mut report = ApgreReport::from_structure(decomp, &opts);
         report.absorb_runs(decomp.top_subgraph, &runs);
-        let mut spans: Vec<(Arc<[u32]>, Arc<[f64]>)> = decomp
-            .subgraphs
-            .iter()
-            .map(|sg| (Arc::from(&sg.globals[..]), Arc::from(vec![0.0f64; sg.globals.len()])))
-            .collect();
+        let mut fold = FoldStore::new(overlay.num_vertices(), globals_of(decomp));
         for run in runs {
-            spans[run.index].1 = Arc::from(run.local);
+            fold.set_values(Lane::Exact, run.index, Arc::from(run.local));
         }
-        let mut fold = FoldStore::default();
-        fold.rebuild(overlay.num_vertices(), spans);
-        let scores = fold.to_flat();
+        let scores = fold.to_flat(Lane::Exact);
         DynamicBc {
             opts,
             overlay,
@@ -234,11 +232,13 @@ impl DynamicBc {
     /// after every refresh under `--features invariants`).
     pub fn approx_snapshot(&mut self) -> Option<ApproxSnapshot> {
         let ap = self.approx.as_mut()?;
-        let refresh = ap.store.refresh(self.maintained.decomp(), &self.opts, &ap.opts);
+        let refresh =
+            ap.store.refresh(&mut self.fold, self.maintained.decomp(), &self.opts, &ap.opts);
+        let stderr_max = self.fold.to_flat(Lane::StderrSq).into_iter().fold(0.0f64, f64::max);
         Some(ApproxSnapshot {
-            estimates: ap.store.chunks(),
-            stderr_sq: ap.store.stderr_chunks(),
-            stderr_max: ap.store.stderr_max(),
+            estimates: self.fold.chunks(Lane::Estimate),
+            stderr_sq: self.fold.chunks(Lane::StderrSq),
+            stderr_max: stderr_max.sqrt(),
             refresh,
             options: ap.opts.clone(),
         })
@@ -300,7 +300,7 @@ impl DynamicBc {
         };
         EngineSnapshot {
             graph: self.cow.view(),
-            scores: self.fold.chunks(),
+            scores: self.fold.chunks(Lane::Exact),
             publish,
             num_subgraphs: self.decomposition().num_subgraphs(),
             num_articulation_points: self.report.num_articulation_points,
@@ -433,18 +433,14 @@ impl DynamicBc {
             self.cow
                 .verify_against_fresh(&self.overlay.to_graph())
                 .expect("copy-on-write graph diverged from the overlay");
-            let spans: Vec<(Arc<[u32]>, Arc<[f64]>)> = self
-                .maintained
-                .decomp()
-                .subgraphs
-                .iter()
+            let spans: Vec<(&[u32], Option<Arc<[f64]>>)> = globals_of(self.maintained.decomp())
                 .enumerate()
-                .map(|(i, sg)| (Arc::from(&sg.globals[..]), self.fold.values_of(i)))
+                .map(|(i, g)| (g, self.fold.values_of(Lane::Exact, i)))
                 .collect();
             self.fold
-                .verify_against_fresh(self.overlay.num_vertices(), spans)
+                .verify_against_fresh(Lane::Exact, self.overlay.num_vertices(), &spans)
                 .expect("fold store diverged from a fresh rebuild");
-            let flat = self.fold.to_flat();
+            let flat = self.fold.to_flat(Lane::Exact);
             assert_eq!(flat.len(), self.scores.len(), "incremental refold length drift");
             for (v, (full, inc)) in flat.iter().zip(&self.scores).enumerate() {
                 assert_eq!(
@@ -474,7 +470,7 @@ impl DynamicBc {
             // estimator; resampling itself is deferred to
             // `approx_snapshot`, so an unqueried estimator costs only this
             // bookkeeping.
-            ap.store.apply_splice(n, &outcome.old_to_new, self.maintained.decomp());
+            ap.store.apply_splice(&outcome.old_to_new, &mut self.fold);
             ap.store.mark_dirty(&outcome.dirty);
         }
 
@@ -490,7 +486,7 @@ impl DynamicBc {
         self.report.refresh_structure(decomp);
         for run in runs {
             touched.extend_from_slice(&self.maintained.decomp().subgraphs[run.index].globals);
-            self.fold.set_values(run.index, Arc::from(run.local));
+            self.fold.set_values(Lane::Exact, run.index, Arc::from(run.local));
         }
         touched.sort_unstable();
         touched.dedup();
@@ -518,7 +514,7 @@ impl DynamicBc {
     }
 
     /// The fallback path: re-decompose the current graph from scratch,
-    /// carry forward contributions of sub-graphs whose kernel input is
+    /// carry forward every lane of sub-graphs whose kernel input is
     /// unchanged (matched by [`apgre_decomp::SubGraph::fingerprint`], a
     /// hash of the exact kernel input stream — indices are lost across a
     /// rebuild, so identity-by-content is all there is), and recompute the
@@ -534,30 +530,19 @@ impl DynamicBc {
             self.cow.reset_from(&g);
         }
 
-        // Multiset map: fingerprint -> stored contributions. Duplicate
-        // fingerprints (e.g. many identical whisker stars) each carry at
-        // most once; the spans are interchangeable because equal
-        // fingerprints mean bitwise-equal kernel inputs.
-        let mut carry: HashMap<u64, Vec<Arc<[f64]>>> = HashMap::new();
-        for (sg, contrib) in
-            self.maintained.decomp().subgraphs.iter().zip(self.fold.values_in_order())
-        {
-            carry.entry(sg.fingerprint()).or_default().push(contrib);
-        }
-
+        // One carry for every lane: equal fingerprints mean bitwise-equal
+        // kernel input *and* an equal sample draw, so a carried span is
+        // bitwise what recomputing it would produce.
+        let carry = carry_by_fingerprint(&keys_of(self.maintained.decomp()), &keys_of(&new_decomp));
         let total = new_decomp.num_subgraphs();
-        let mut spans: Vec<(Arc<[u32]>, Arc<[f64]>)> = new_decomp
+        let misses: Vec<(usize, &[u32])> = new_decomp
             .subgraphs
             .iter()
-            .map(|sg| (Arc::from(&sg.globals[..]), Arc::from(vec![0.0f64; sg.globals.len()])))
+            .zip(&carry)
+            .enumerate()
+            .filter(|(_, (_, src))| src.is_none())
+            .map(|(i, (sg, _))| (i, sg.roots.as_slice()))
             .collect();
-        let mut misses: Vec<(usize, &[u32])> = Vec::new();
-        for (i, sg) in new_decomp.subgraphs.iter().enumerate() {
-            match carry.get_mut(&sg.fingerprint()).and_then(Vec::pop) {
-                Some(v) => spans[i].1 = v,
-                None => misses.push((i, sg.roots.as_slice())),
-            }
-        }
         let recomputed = misses.len();
         let runs = run_kernels(&new_decomp, &misses, &self.opts, false);
 
@@ -570,8 +555,15 @@ impl DynamicBc {
         self.report.refresh_structure(&new_decomp);
         self.report.absorb_runs(new_decomp.top_subgraph, &runs);
 
+        let old_to_new =
+            self.fold.rebuild(self.overlay.num_vertices(), globals_of(&new_decomp), &carry);
         for run in runs {
-            spans[run.index].1 = Arc::from(run.local);
+            self.fold.set_values(Lane::Exact, run.index, Arc::from(run.local));
+        }
+        self.scores = self.fold.to_flat(Lane::Exact);
+        if let Some(ap) = &mut self.approx {
+            // The same carry remaps the estimator's metadata.
+            ap.store.apply_splice(&old_to_new, &mut self.fold);
         }
 
         if self.force_rebuild {
@@ -582,16 +574,6 @@ impl DynamicBc {
         } else {
             self.maintained =
                 MaintainedDecomposition::from_decomposition(&g, new_decomp, &self.opts.partition);
-        }
-        self.fold.rebuild(self.overlay.num_vertices(), spans);
-        self.scores = self.fold.to_flat();
-        if let Some(ap) = &mut self.approx {
-            // Rebuild the estimator over the fresh decomposition with the
-            // same fingerprint carry the exact store uses: equal
-            // fingerprints mean equal kernel input *and* equal sample draw,
-            // so carried sample spans are bitwise what resampling would
-            // produce.
-            ap.store.rebuild(self.maintained.decomp());
         }
 
         let mut report = DynamicReport::empty(BatchClass::Structural, reason);
@@ -618,7 +600,9 @@ impl DynamicBc {
     fn refold_touched(&mut self, touched: &[u32]) {
         self.scores.resize(self.overlay.num_vertices(), 0.0);
         for &v in touched {
-            self.scores[v as usize] = self.fold.fold_vertex(v);
+            if let Some(score) = self.scores.get_mut(v as usize) {
+                *score = self.fold.fold_vertex(Lane::Exact, v);
+            }
         }
     }
 }
@@ -682,6 +666,16 @@ impl ApproxSnapshot {
     pub fn stderr(&self, v: usize) -> f64 {
         self.stderr_sq.score(v).sqrt()
     }
+}
+
+/// Every sub-graph's vertex list, in index order: the fold store's layout.
+fn globals_of(decomp: &Decomposition) -> impl Iterator<Item = &[u32]> {
+    decomp.subgraphs.iter().map(|sg| sg.globals.as_slice())
+}
+
+/// Every sub-graph's `(fingerprint, vertex count)` carry key, in index order.
+fn keys_of(decomp: &Decomposition) -> Vec<(u64, usize)> {
+    decomp.subgraphs.iter().map(|sg| (sg.fingerprint(), sg.num_vertices())).collect()
 }
 
 /// One-shot convenience and serial-oracle anchor: builds a [`DynamicBc`]

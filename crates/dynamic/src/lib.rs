@@ -14,8 +14,9 @@
 //! * [`MutationBatch`] — a recorded group of edge/vertex [`Mutation`]s,
 //!   applied atomically per batch,
 //! * [`DynamicBc`] — the engine: a mutable
-//!   [`apgre_graph::GraphOverlay`], the maintained decomposition, one stored
-//!   score contribution per sub-graph, and the classification + recompute
+//!   [`apgre_graph::GraphOverlay`], the maintained decomposition, one span
+//!   store holding each sub-graph's exact contribution and sampled-estimator
+//!   spans as lanes of one layout, and the classification + recompute
 //!   scheduler ([`DynamicBc::apply`]),
 //! * [`DynamicReport`] — per-batch counters (classification, dirty
 //!   sub-graphs, reused contributions, wall clock),

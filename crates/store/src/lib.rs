@@ -16,12 +16,15 @@
 //!   pointer clones; only chunks an edit landed in are deep-copied.
 //!   [`CowGraph::compact`] is the escape hatch when deltas accumulate
 //!   (each chunk also auto-compacts past a fixed delta budget).
-//! * [`FoldStore`] / [`ScoreChunks`] — the score vector, stored as one
-//!   `Arc<[f64]>` span per sub-graph (plus a chunked per-vertex owner
-//!   index), folded on demand in ascending sub-graph index order — the
-//!   exact fold order of the batch pipeline, so served scores stay
-//!   **bitwise** equal to a from-scratch run. A snapshot clones only the
-//!   spans of dirty sub-graphs; everything else is shared.
+//! * [`FoldStore`] / [`ScoreChunks`] — the score vectors, stored as one
+//!   `Arc<[f64]>` span per sub-graph in each [`Lane`] (exact scores,
+//!   sampled estimates, their squared standard errors) over one shared
+//!   slot layout with a chunked per-vertex owner index, folded on demand
+//!   in ascending sub-graph index order — the exact fold order of the
+//!   batch pipeline, so served scores stay **bitwise** equal to a
+//!   from-scratch run. A snapshot of a lane clones only span pointers and
+//!   shares the layout; [`carry_by_fingerprint`] is the rebuild path's one
+//!   carry map.
 //!
 //! Both sides report [`PublishStats`] (chunks copied vs reused since the
 //! previous snapshot), which `apgre-serve` exposes on `/metrics`.
@@ -33,7 +36,7 @@ mod cow;
 mod score;
 
 pub use cow::{CowGraph, GraphView, GRAPH_CHUNK_SIZE};
-pub use score::{FoldStore, ScoreChunks, TopCache, INDEX_CHUNK_SIZE};
+pub use score::{carry_by_fingerprint, FoldStore, Lane, ScoreChunks, TopCache, INDEX_CHUNK_SIZE};
 
 /// Chunk-reuse accounting for one published snapshot: how many chunks the
 /// publish had to deep-copy (because a batch since the previous publish

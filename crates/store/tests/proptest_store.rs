@@ -6,14 +6,16 @@
 //!   to `overlay.to_graph()` after every batch, including immediately
 //!   after an explicit `compact()`.
 //! * [`FoldStore`] receives random splice sequences (survivor subsets kept
-//!   in order, fresh groups appended at the tail, dirty spans rewritten)
-//!   and must stay bitwise-identical to a store rebuilt from scratch over
-//!   the same spans, for both the flat fold and every per-vertex fold.
+//!   in order, fresh groups appended at the tail) interleaved with random
+//!   lane writes that leave some lanes unset, and every lane must stay
+//!   bitwise-identical to a store rebuilt from scratch over the same spans,
+//!   for both the flat fold and every per-vertex fold. Snapshots of all
+//!   lanes share one layout until a splice replaces it.
 
 use std::sync::Arc;
 
 use apgre_graph::{Graph, GraphOverlay};
-use apgre_store::{CowGraph, FoldStore};
+use apgre_store::{CowGraph, FoldStore, Lane};
 use proptest::prelude::*;
 
 /// Raw mutation descriptor, clamped against the live vertex count at apply
@@ -87,48 +89,39 @@ fn apply_mirrored(overlay: &mut GraphOverlay, cow: &mut CowGraph, m: &RawMut) {
     }
 }
 
-/// One sub-graph for the fold-store driver: sorted unique vertex ids with
-/// one (exactly representable) contribution value each.
-fn group(n: u32) -> impl Strategy<Value = Vec<(u32, u32)>> {
-    proptest::collection::vec((0..n, 0u32..1000), 1..12).prop_map(|mut pairs| {
-        pairs.sort_by_key(|&(v, _)| v);
-        pairs.dedup_by_key(|pair| pair.0);
-        pairs
+/// One sub-graph for the fold-store property test: sorted unique vertex ids.
+fn group(n: u32) -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(0..n, 1..12).prop_map(|mut ids| {
+        ids.sort_unstable();
+        ids.dedup();
+        ids
     })
 }
 
-type SpliceStep = (Vec<u32>, Vec<Vec<(u32, u32)>>, u32);
+/// One scenario step: a keep/dissolve coin per survivor candidate, fresh
+/// groups to append, a value seed, a per-sub-graph lane mask (bit `l`
+/// writes lane `l`, bit 3 clears the stderr lane), and whether the step
+/// splices at all.
+type LaneStep = (Vec<u32>, Vec<Vec<u32>>, u32, Vec<u8>, bool);
 
-fn fold_scenario() -> impl Strategy<Value = (u32, Vec<Vec<(u32, u32)>>, Vec<SpliceStep>)> {
+fn fold_scenario() -> impl Strategy<Value = (u32, Vec<Vec<u32>>, Vec<LaneStep>)> {
     (4u32..2200).prop_flat_map(|n| {
-        (
-            Just(n),
-            proptest::collection::vec(group(n), 1..8),
-            // Each step: a keep/dissolve coin per survivor candidate, fresh
-            // groups to append, and a seed for rewriting a dirty span.
-            proptest::collection::vec(
-                (
-                    proptest::collection::vec(0u32..2, 1..10),
-                    proptest::collection::vec(group(n), 0..4),
-                    0u32..1000,
-                ),
-                1..5,
-            ),
-        )
+        let step = (
+            (proptest::collection::vec(0u32..2, 1..10), proptest::collection::vec(group(n), 0..4)),
+            (0u32..1000, proptest::collection::vec(0u8..16, 1..10), 0u32..3),
+        );
+        let step = step
+            .prop_map(|((keep, fresh), (seed, masks, coin))| (keep, fresh, seed, masks, coin > 0));
+        (Just(n), proptest::collection::vec(group(n), 1..8), proptest::collection::vec(step, 1..6))
     })
 }
 
-fn spans_of(groups: &[Vec<(u32, u32)>]) -> Vec<(Arc<[u32]>, Arc<[f64]>)> {
-    groups
-        .iter()
-        .map(|g| {
-            let globals: Vec<u32> = g.iter().map(|&(v, _)| v).collect();
-            // Halves are exact in binary floating point, so any fold-order
-            // bug shows up as a hard bitwise mismatch, not a rounding blur.
-            let values: Vec<f64> = g.iter().map(|&(_, x)| x as f64 / 2.0).collect();
-            (Arc::from(globals), Arc::from(values))
-        })
-        .collect()
+/// One modelled sub-graph: its vertex ids and, per lane, the span it
+/// should fold (`None` = unset).
+type Model = (Arc<[u32]>, [Option<Arc<[f64]>>; 3]);
+
+fn lane_spans(models: &[Model], lane: usize) -> Vec<(&[u32], Option<Arc<[f64]>>)> {
+    models.iter().map(|(g, lanes)| (&g[..], lanes[lane].clone())).collect()
 }
 
 proptest! {
@@ -208,62 +201,71 @@ proptest! {
     fn fold_store_matches_fresh_after_random_splices(
         (n, seed_groups, steps) in fold_scenario(),
     ) {
-        let mut store = FoldStore::default();
-        let mut shadow = seed_groups.clone();
-        store.rebuild(n as usize, spans_of(&shadow));
-        store
-            .verify_against_fresh(n as usize, spans_of(&shadow))
-            .unwrap_or_else(|e| panic!("seed: {e}"));
+        let n = n as usize;
+        let model = |g: &Vec<u32>| -> Model { (Arc::from(g.as_slice()), [None, None, None]) };
+        let mut shadow: Vec<Model> = seed_groups.iter().map(model).collect();
+        let mut store = FoldStore::new(n, shadow.iter().map(|m| &m.0[..]));
+        let mut held = store.chunks(Lane::Exact);
 
-        for (k, (keep, fresh_groups, dirty_seed)) in steps.iter().enumerate() {
-            // Survivors keep relative order; fresh groups land at the tail
-            // — the maintainer's splice contract.
-            let mut old_to_new: Vec<Option<u32>> = Vec::with_capacity(shadow.len());
-            let mut survivors: Vec<Vec<(u32, u32)>> = Vec::new();
-            for (i, grp) in shadow.iter().enumerate() {
-                if keep[i % keep.len()] == 1 {
-                    old_to_new.push(Some(survivors.len() as u32));
-                    survivors.push(grp.clone());
-                } else {
-                    old_to_new.push(None);
+        for (k, (keep, fresh_groups, seed, masks, splice)) in steps.iter().enumerate() {
+            let mut touched: Vec<u32> = Vec::new();
+            let mut relaid = false;
+            if *splice {
+                // Survivors keep relative order and every lane span; fresh
+                // groups land at the tail with every lane unset — the
+                // maintainer's splice contract.
+                let mut old_to_new: Vec<Option<u32>> = Vec::with_capacity(shadow.len());
+                let mut next: Vec<Model> = Vec::new();
+                for (i, m) in shadow.iter().enumerate() {
+                    let kept = keep[i % keep.len()] == 1;
+                    old_to_new.push(kept.then_some(next.len() as u32));
+                    if kept {
+                        next.push(m.clone());
+                    }
+                }
+                next.extend(fresh_groups.iter().map(model));
+                let new_globals: Vec<&[u32]> = next.iter().map(|m| &m.0[..]).collect();
+                touched = store.apply_splice(n, &old_to_new, &new_globals);
+                relaid = old_to_new.iter().any(Option::is_none) || !fresh_groups.is_empty();
+                shadow = next;
+            }
+            // Random lane writes; whatever a mask leaves alone keeps its
+            // previous span (or stays unset). Halves are exact in binary
+            // floating point, so any fold-order bug shows up as a hard
+            // bitwise mismatch, not a rounding blur.
+            for (i, (globals, lanes)) in shadow.iter_mut().enumerate() {
+                let mask = masks[i % masks.len()];
+                for (l, lane) in Lane::ALL.into_iter().enumerate() {
+                    if mask & (1 << l) != 0 {
+                        let span: Arc<[f64]> =
+                            globals.iter().map(|&v| (v + seed + 7 * l as u32) as f64 / 2.0).collect();
+                        store.set_values(lane, i, Arc::clone(&span));
+                        lanes[l] = Some(span);
+                    }
+                }
+                if mask & 0b1100 == 0b1000 {
+                    store.clear_values(Lane::StderrSq, i);
+                    lanes[2] = None;
                 }
             }
-            let mut next = survivors;
-            next.extend(fresh_groups.iter().cloned());
-            let spans = spans_of(&next);
-            let new_globals: Vec<&[u32]> =
-                spans.iter().map(|(g, _)| &g[..]).collect();
-            let touched = store.apply_splice(n as usize, &old_to_new, &new_globals);
-            // Fresh sub-graphs are dirty by construction: give them values.
-            let first_fresh = next.len() - fresh_groups.len();
-            for (i, (_, values)) in spans.iter().enumerate().skip(first_fresh) {
-                store.set_values(i, Arc::clone(values));
+            let snaps: Vec<_> = Lane::ALL.into_iter().map(|lane| store.chunks(lane)).collect();
+            for (l, lane) in Lane::ALL.into_iter().enumerate() {
+                store
+                    .verify_against_fresh(lane, n, &lane_spans(&shadow, l))
+                    .unwrap_or_else(|e| panic!("step {k} {lane:?}: {e}"));
+                // The snapshot folds bitwise-identically, flat and per vertex.
+                let flat = store.to_flat(lane);
+                prop_assert_eq!(snaps[l].to_vec(), flat.clone());
+                for &v in &touched {
+                    prop_assert_eq!(snaps[l].score(v as usize).to_bits(), flat[v as usize].to_bits());
+                }
+                prop_assert!(snaps[l].shares_layout(&snaps[0]), "step {}: lanes split the layout", k);
             }
-            // Rewrite one survivor's span too (a patched-in-place block).
-            if first_fresh > 0 {
-                let i = (*dirty_seed as usize) % first_fresh;
-                let patched: Vec<f64> =
-                    next[i].iter().map(|&(_, x)| (x + dirty_seed) as f64 / 2.0).collect();
-                next[i] = next[i]
-                    .iter()
-                    .map(|&(v, x)| (v, x + dirty_seed))
-                    .collect();
-                store.set_values(i, Arc::from(patched));
-            }
-            shadow = next;
-            store
-                .verify_against_fresh(n as usize, spans_of(&shadow))
-                .unwrap_or_else(|e| panic!("step {k}: {e}"));
-            // The snapshot folds bitwise-identically, flat and per vertex.
-            let snap = store.chunks();
-            let flat = store.to_flat();
-            prop_assert_eq!(snap.to_vec(), flat.clone());
-            for &v in &touched {
-                prop_assert_eq!(
-                    snap.score(v as usize).to_bits(),
-                    flat[v as usize].to_bits()
-                );
-            }
+            // Span writes and in-place splices never copy the layout; any
+            // other splice under a held snapshot does (the snapshot keeps
+            // the old one).
+            prop_assert_eq!(held.shares_layout(&snaps[2]), !relaid, "step {}", k);
+            held = snaps[0].clone();
         }
     }
 }

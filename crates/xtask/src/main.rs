@@ -45,12 +45,14 @@ fn main() -> ExitCode {
                 return code;
             }
             for step in [
-                vec!["fmt", "--all", "--", "--check"],
-                vec!["clippy", "--workspace", "--all-targets", "--", "-D", "warnings"],
-                vec!["test", "--workspace", "--quiet"],
-                vec!["test", "-p", "apgre", "--features", "invariants", "--quiet"],
+                "fmt --all -- --check",
+                "clippy --workspace --all-targets -- -D warnings",
+                "test --workspace --quiet",
+                "test -p apgre --features invariants --quiet",
+                "test -p apgre-dynamic -p apgre-approx \
+                 --features apgre-dynamic/invariants,apgre-approx/invariants --quiet",
             ] {
-                let code = cargo(&root, &step);
+                let code = cargo(&root, &step.split_whitespace().collect::<Vec<_>>());
                 if code != ExitCode::SUCCESS {
                     return code;
                 }

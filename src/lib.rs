@@ -32,13 +32,15 @@
 //! * [`bc`] — Brandes, the parallel baselines, APGRE, redundancy analysis
 //!   ([`apgre_bc`]),
 //! * [`approx`] — the decomposition-composed sampled estimator: seeded
-//!   generation-stable per-sub-graph root samples, carried incrementally by
-//!   a slot-stable `SampleStore` ([`apgre_approx`]),
+//!   generation-stable per-sub-graph root samples, refreshed incrementally
+//!   by a `SampleStore` into the span store's approx lanes
+//!   ([`apgre_approx`]),
 //! * [`dynamic`] — the incremental engine: mutation batches, dirty-sub-graph
 //!   tracking, contribution carry-forward ([`apgre_dynamic`]),
 //! * [`store`] — the persistent copy-on-write snapshot store: chunked CoW
-//!   graph + per-sub-graph score spans, so publishing costs only the dirty
-//!   set ([`apgre_store`]),
+//!   graph + one span store with exact, estimate and stderr² lanes over one
+//!   per-sub-graph layout, so publishing costs only the dirty set
+//!   ([`apgre_store`]),
 //! * [`serve`] — the concurrent query service over the incremental engine:
 //!   snapshot isolation, mutation batching, admission control, metrics
 //!   ([`apgre_serve`]),
@@ -76,7 +78,7 @@ pub mod prelude {
     };
     pub use apgre_graph::{Graph, GraphBuilder, GraphOverlay, VertexId, WeightedGraph};
     pub use apgre_serve::{serve as serve_bc, ServeConfig, ServerHandle};
-    pub use apgre_store::{CowGraph, FoldStore, GraphView, PublishStats, ScoreChunks};
+    pub use apgre_store::{CowGraph, FoldStore, GraphView, Lane, PublishStats, ScoreChunks};
 }
 
 pub use prelude::*;

@@ -10,6 +10,7 @@
 //! the engine's decomposition; the fresh-scratch comparison uses the 1e-9
 //! relative tolerance.)
 
+use apgre::approx::bc_sampled_with_stderr_from_decomposition;
 use apgre::bc::bc_from_decomposition;
 use apgre::graph::generators::{whiskered_community, WhiskeredCommunityParams};
 use apgre::prelude::*;
@@ -182,12 +183,16 @@ fn zoo_short_streams_match_scratch() {
     }
 }
 
-/// The incremental sampled estimator (PR 9): after **every** batch of a
-/// random mutation stream, `DynamicBc::approx_snapshot` must be bitwise
-/// identical to the from-scratch composed estimator
-/// (`bc_sampled_from_decomposition`) over the engine's own decomposition —
-/// the determinism contract, independent of which sub-graphs were
-/// resampled vs carried.
+/// The incremental sampled estimator: after **every** batch of a random
+/// mutation stream, `DynamicBc::approx_snapshot` must be bitwise identical
+/// to the from-scratch composed estimator
+/// (`bc_sampled_with_stderr_from_decomposition`) over the engine's own
+/// decomposition — estimates and standard errors — independent of which
+/// sub-graphs were resampled vs carried. Three inputs: the uniform cap on
+/// the maintained path, the adaptive budget (non-zero standard errors), and
+/// the adaptive budget with forced-rebuild batches interleaved, which
+/// drives the engine's fingerprint carry of every lane — including carries
+/// out of sub-graphs dirtied by an earlier, unrefreshed batch.
 #[test]
 fn approx_stream_is_bitwise_vs_scratch_estimator_every_batch() {
     let g = whiskered_community(&WhiskeredCommunityParams {
@@ -200,35 +205,55 @@ fn approx_stream_is_bitwise_vs_scratch_estimator_every_batch() {
         seed: 19,
     });
     let opts = ApgreOptions::default();
-    let sopts = SampleOptions::uniform(6, 0xBEAD);
-    let mut engine = DynamicBc::new(&g, opts.clone());
-    engine.enable_approx(sopts.clone());
-    assert!(engine.approx_enabled());
-    let mut rng = Rng(0x0900_cafe_f00d_0042);
-    let mut carried_any = false;
-    for step in 0..60 {
-        let batch = random_batch(&mut rng, &engine);
-        engine.apply(&batch);
-        let ap = engine.approx_snapshot().expect("estimator enabled");
-        let want = bc_sampled_from_decomposition(engine.decomposition(), &opts, &sopts);
-        let got = ap.estimates.to_vec();
-        assert_eq!(got.len(), want.len(), "step {step}");
-        for v in 0..want.len() {
-            assert!(
-                got[v].to_bits() == want[v].to_bits(),
-                "step {step}: vertex {v}: incremental {} vs scratch estimator {}",
-                got[v],
-                want[v]
+    let cases = [
+        ("uniform", SampleOptions::uniform(6, 0xBEAD), false),
+        ("adaptive", SampleOptions::adaptive(60, 0xBEAD), false),
+        ("adaptive + forced rebuilds", SampleOptions::adaptive(60, 0xBEAD), true),
+    ];
+    for (name, sopts, interleave_rebuilds) in cases {
+        let mut engine = DynamicBc::new(&g, opts.clone());
+        engine.enable_approx(sopts.clone());
+        assert!(engine.approx_enabled());
+        let mut rng = Rng(0x0900_cafe_f00d_0042);
+        let mut carried_any = false;
+        let mut carried_across_rebuild = false;
+        for step in 0..60 {
+            // The rebuild case applies two batches per refresh and forces a
+            // rebuild on the second one every other step, so sub-graphs
+            // still pending from the first batch cross the carry.
+            let mut rebuilt = false;
+            for b in 0..1 + interleave_rebuilds as usize {
+                engine.set_force_rebuild(b == 1 && step % 2 == 1);
+                rebuilt |= engine.apply(&random_batch(&mut rng, &engine)).rebuilt;
+            }
+            let ap = engine.approx_snapshot().expect("estimator enabled");
+            let (want, want_err) =
+                bc_sampled_with_stderr_from_decomposition(engine.decomposition(), &opts, &sopts);
+            let got = ap.estimates.to_vec();
+            assert_eq!(got.len(), want.len(), "{name} step {step}");
+            for v in 0..want.len() {
+                let (inc, scratch) = ((got[v], ap.stderr(v)), (want[v], want_err[v]));
+                assert!(
+                    inc.0.to_bits() == scratch.0.to_bits()
+                        && inc.1.to_bits() == scratch.1.to_bits(),
+                    "{name} step {step}: vertex {v}: incremental (estimate, stderr) {inc:?} vs \
+                     scratch estimator {scratch:?}"
+                );
+            }
+            assert_eq!(
+                ap.refresh.resampled + ap.refresh.reused,
+                engine.decomposition().num_subgraphs(),
+                "{name} step {step}: refresh accounting must cover every sub-graph"
             );
+            carried_any |= ap.refresh.reused > 0;
+            carried_across_rebuild |= rebuilt && ap.refresh.reused > 0;
         }
-        assert_eq!(
-            ap.refresh.resampled + ap.refresh.reused,
-            engine.decomposition().num_subgraphs(),
-            "step {step}: refresh accounting must cover every sub-graph"
+        assert!(
+            carried_any,
+            "{name}: no refresh ever reused a span — the store is not incremental"
         );
-        carried_any |= ap.refresh.reused > 0;
+        assert_eq!(carried_across_rebuild, interleave_rebuilds, "{name}: rebuild carried no span");
     }
-    assert!(carried_any, "no refresh ever reused a span — the store is not incremental");
 }
 
 /// `bc_dynamic` (the one-shot entry point) equals serial Brandes on the
