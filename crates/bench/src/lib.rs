@@ -78,11 +78,11 @@ pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R 
 /// Counts the distinct OS threads that execute work inside a
 /// `threads`-worker rayon pool.
 ///
-/// Upstream rayon returns a value near `threads`; the vendored sequential
-/// stand-in (see vendor/README.md) runs everything inline on the caller and
-/// returns 1 even though [`rayon::current_num_threads`] reports the
-/// configured pool size. Bench records use this to label measurements that
-/// structurally cannot show parallel speedup.
+/// Both upstream rayon and the vendored stand-in (see vendor/README.md) run
+/// a pool's work on real worker threads, so this returns a value near
+/// `threads`. Bench records use it to label measurements: 1 means the run
+/// could not show parallel speedup, whatever [`rayon::current_num_threads`]
+/// reports.
 pub fn observed_parallelism(threads: usize) -> usize {
     use rayon::prelude::*;
     use std::collections::HashSet;

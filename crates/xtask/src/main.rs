@@ -14,8 +14,9 @@
 //!   their justification); anything else fails the pass.
 //! * `check` — `lint` followed by `cargo check --workspace --all-targets`.
 //! * `ci`    — the full local gate: `lint`, `fmt --check`, `clippy -D
-//!   warnings`, default tests, and `--features invariants` tests. Mirrors
-//!   `.github/workflows/ci.yml`.
+//!   warnings`, default tests, `--features invariants` tests, and the
+//!   vendored rayon stand-in's own tests (outside the workspace, so run by
+//!   manifest). Mirrors `.github/workflows/ci.yml`.
 //!
 //! The crate is dependency-free on purpose: the lint pass must build and run
 //! even when the registry is unreachable.
@@ -51,6 +52,7 @@ fn main() -> ExitCode {
                 "test -p apgre --features invariants --quiet",
                 "test -p apgre-dynamic -p apgre-approx \
                  --features apgre-dynamic/invariants,apgre-approx/invariants --quiet",
+                "test --offline --manifest-path vendor/rayon/Cargo.toml --quiet",
             ] {
                 let code = cargo(&root, &step.split_whitespace().collect::<Vec<_>>());
                 if code != ExitCode::SUCCESS {
@@ -66,7 +68,7 @@ fn main() -> ExitCode {
             eprintln!("         run the analyzer over the workspace; findings in");
             eprintln!("         lint-baseline.json are suppressed with justification");
             eprintln!("  check  lint + cargo check --workspace --all-targets");
-            eprintln!("  ci     lint + fmt + clippy + tests (default and --features invariants)");
+            eprintln!("  ci     lint + fmt + clippy + tests (default, invariants, rayon stand-in)");
             ExitCode::FAILURE
         }
     }
